@@ -159,15 +159,22 @@ def on_a_wall(gram, ample) -> bool:
 # ---------------------------------------------------------------- chamber
 
 
-def check_chamber(gram, ample, walls, rays, witnesses, complete: bool, bound: int | None):
+def check_chamber(gram, ample, walls, rays, witnesses, complete: bool, bound: int | None,
+                  certified: bool):
     """Walls, rays and facet witnesses of the ample chamber.
 
-    On rank <= 3 the walls are compared with the roots of degree <= bound
-    found by ``classes_in_box``: every reported wall must be a facet of the
-    cone those roots cut out, and on a certified result every other root must
+    ``certified`` is what the caller knows of the input: True when the
+    chamber is finite polyhedral and certifies at the ceiling used, False for
+    a round chamber or one run at a ceiling too low to certify.  The output's
+    ``complete`` flag must say the same.  On rank <= 3 the walls are compared
+    with the roots of degree <= bound found by ``classes_in_box``: every
+    reported wall must be a facet of the cone those roots cut out, there is a
+    wall if there is a root, and on a certified result every other root must
     be redundant on the reported rays.
     """
     n = len(gram)
+    require(complete == certified,
+            f"complete={complete} on a chamber that {'does' if certified else 'does not'} certify")
     require(norm(gram, ample) > 0, "ample class of non-positive norm")
     require(len(set(walls)) == len(walls), "duplicate walls")
     for d in walls:
@@ -198,6 +205,8 @@ def check_chamber(gram, ample, walls, rays, witnesses, complete: bool, bound: in
         return
     roots = classes_in_box(gram, ample, -2, 1, bound)
     root_set = set(roots)
+    if roots:
+        require(bool(walls), f"no wall reported, but {roots[0]} is a root")
     for d in walls:
         require(d in root_set, f"wall {d} is not a root of degree <= {bound}")
     for d, w in points.items():

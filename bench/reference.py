@@ -1,13 +1,12 @@
 """Reference figures, measured once and not gated.
 
-    python3 bench/reference.py [--max-k 6]
+    python3 bench/reference.py
 
 Prints the CPU time of nef_walls on U + A1^k (ample (4, 3, 1, ..., 1)) for
-k = 1..max-k, and on diag(2, -4, -6) with ample (3, 1, 1) at doubling
+k = 1..6, and on diag(2, -4, -6) with ample (3, 1, 1) at doubling
 ceilings 2 and 4, with wall counts.  k = 6 takes minutes.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -27,10 +26,7 @@ def timed(lat, ample, ceiling=None):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--max-k", type=int, default=6)
-    args = parser.parse_args()
-    for k in range(1, args.max_k + 1):
+    for k in range(1, 7):
         ample = (4, 3) + (1,) * k
         seconds, nef = timed(Lattice(ua(k)), ample)
         print(f"nef_walls U+A1^{k} {ample}: {seconds:.2f} s, {len(nef.walls)} walls, "

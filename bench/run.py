@@ -86,7 +86,7 @@ class Run:
     """
 
     def __init__(self):
-        self.rounds = []  # per round: (cpu seconds, wall seconds), scaled
+        self.rounds = []  # per round: (cpu seconds, wall seconds) of the operations that did not fail, scaled
         self.op_ms = []  # scaled CPU milliseconds of each operation that did not fail
         self.speeds = []  # every machine_speed measurement
         self.attempted = 0
@@ -132,11 +132,12 @@ class Run:
         self.speeds.append(machine_speed())
         cpu_total = wall_total = 0.0
         for cpu, wall, ok, at in timings:
+            if not ok:  # left out: the cli fault's time is its deadline, not work
+                continue
             scale = 2 * REFERENCE_SPEED_S / (self.speeds[at] + self.speeds[at + 1])
             cpu_total += cpu * scale
             wall_total += wall * scale
-            if ok:
-                self.op_ms.append(cpu * scale * 1000)
+            self.op_ms.append(cpu * scale * 1000)
         self.rounds.append((cpu_total, wall_total))
         return wall_total
 

@@ -52,28 +52,42 @@ def test_box_scan_finds_the_known_roots():
 
 def test_chamber_certified():
     nef = nef_walls(Lattice(UA1), H_UA1)
-    args = (UA1, H_UA1, nef.walls, nef.rays, nef.witnesses, True, nef.certification_bound)
-    ck.check_chamber(*args)
+    bound = nef.certification_bound
+    ck.check_chamber(UA1, H_UA1, nef.walls, nef.rays, nef.witnesses, True, bound, True)
     dropped = nef.walls[1:]
     witnesses = [(w, p) for w, p in nef.witnesses if w in dropped]
-    rejects(ck.check_chamber, UA1, H_UA1, dropped, nef.rays, witnesses, True, nef.certification_bound)
+    rejects(ck.check_chamber, UA1, H_UA1, dropped, nef.rays, witnesses, True, bound, True)
     negated = (tuple(-c for c in nef.walls[0]),) + nef.walls[1:]
-    rejects(ck.check_chamber, UA1, H_UA1, negated, nef.rays, nef.witnesses, True, nef.certification_bound)
+    rejects(ck.check_chamber, UA1, H_UA1, negated, nef.rays, nef.witnesses, True, bound, True)
     moved = [(nef.witnesses[0][0], H_UA1)] + list(nef.witnesses[1:])
-    rejects(ck.check_chamber, UA1, H_UA1, nef.walls, nef.rays, moved, True, nef.certification_bound)
+    rejects(ck.check_chamber, UA1, H_UA1, nef.walls, nef.rays, moved, True, bound, True)
     rays = nef.rays[:-1] + (tuple(-c for c in nef.rays[-1]),)
-    rejects(ck.check_chamber, UA1, H_UA1, nef.walls, rays, nef.witnesses, True, nef.certification_bound)
+    rejects(ck.check_chamber, UA1, H_UA1, nef.walls, rays, nef.witnesses, True, bound, True)
+    # a partial answer, or the empty "round chamber" one, where a certified one is due
+    rejects(ck.check_chamber, UA1, H_UA1, nef.walls, nef.rays, nef.witnesses, False, bound, True)
+    rejects(ck.check_chamber, UA1, H_UA1, (), (), (), False, bound, True)
 
 
 def test_chamber_partial():
     gram, ample = wl.diag(2, -4, -6), (3, 1, 1)
     nef = nef_walls(Lattice(gram), ample, 1)
     assert not nef.complete
-    ck.check_chamber(gram, ample, nef.walls, nef.rays, nef.witnesses, False, nef.certification_bound)
+    bound = nef.certification_bound
+    ck.check_chamber(gram, ample, nef.walls, nef.rays, nef.witnesses, False, bound, False)
     wall, point = nef.witnesses[0]
     off = tuple(2 * c for c in point)
     bent = [(wall, tuple(a + b for a, b in zip(off, wall)))] + list(nef.witnesses[1:])
-    rejects(ck.check_chamber, gram, ample, nef.walls, (), bent, False, nef.certification_bound)
+    rejects(ck.check_chamber, gram, ample, nef.walls, (), bent, False, bound, False)
+    rejects(ck.check_chamber, gram, ample, nef.walls, nef.rays, nef.witnesses, True, bound, False)
+    rejects(ck.check_chamber, gram, ample, (), (), (), False, bound, False)
+
+
+def test_chamber_round():
+    gram, ample = wl.diag(2, -6), (2, 1)
+    nef = nef_walls(Lattice(gram), ample)
+    assert not nef.walls
+    ck.check_chamber(gram, ample, (), nef.rays, (), False, nef.certification_bound, False)
+    rejects(ck.check_chamber, gram, ample, (), nef.rays, (), True, nef.certification_bound, False)
 
 
 def test_walk():
@@ -156,6 +170,7 @@ def test_report(capsys, tmp_path):
     rejects(ck.check_report, validator, raw + b" ", out, code, 0)
     rejects(ck.check_report, validator, raw, out, 1, 1)
     rejects(ck.check_report, validator, raw, out, 2, 2)
+    rejects(ck.check_report, validator, raw, out, code, 2)
     broken = json.loads(out)
     del broken["warnings"]
     rejects(ck.check_report, validator, raw, json.dumps(broken), code, 0)
