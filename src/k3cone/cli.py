@@ -4,14 +4,15 @@ Exit codes: 0 success, 1 invalid input, 2 bound-limited result (every
 certificate that failed is false in the report, which is still emitted),
 3 internal error.  The env var K3CONE_CEILING overrides the doubling
 ceiling for this invocation, taking precedence over the problem file's
-``bounds.ceiling``.
+``bounds.ceiling``.  It is resolved while the problem file is parsed, so
+it also governs generator verification, and every command rejects a
+malformed value with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,11 +41,8 @@ from .sterk import (
     sterk_domain,
     verify_fundamental,
 )
-from .weyl import DOUBLING_CEILING, nef_test, nef_walls, walk_to_nef
+from .weyl import ROOT_BOUND_FACTOR, walk_to_nef
 
-DEFAULT_SEED = 0
-DEFAULT_SAMPLES = 200
-DEFAULT_WORD_LENGTH = 3
 DEFAULT_ISOTROPY_BOX = 10
 
 
@@ -59,40 +57,22 @@ def _parse_class(text: str, rank: int) -> tuple[int, ...]:
     return vec
 
 
-def _ceiling(problem: Problem) -> int | None:
-    env = os.environ.get("K3CONE_CEILING")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise GeometryError(f"K3CONE_CEILING must be an integer, got {env!r}") from None
-        if value < 0:
-            raise GeometryError("K3CONE_CEILING must be non-negative")
-        return value
-    return problem.bounds.ceiling
-
-
-def _enum_bound(problem: Problem, flag, default):
+def _enum_bound(problem: Problem, flag):
+    """The --bound flag, else ``bounds.enumeration``; None when neither is set."""
     if flag is not None:
         if flag < 0:
             raise GeometryError("--bound must be non-negative")
         return flag
-    if problem.bounds.enumeration is not None:
-        return problem.bounds.enumeration
-    return default
-
-
-def _nef(problem: Problem):
-    return nef_walls(problem.lattice, problem.ample, ceiling=_ceiling(problem))
+    return problem.bounds.enumeration
 
 
 def _nef_certificates(nef) -> dict:
     return {"complete": nef.complete, "stable": nef.stable}
 
 
-def _domain(problem: Problem, nef) -> SterkDomain:
+def _domain(problem: Problem) -> SterkDomain:
     return sterk_domain(
-        problem.lattice, problem.ample, problem.group, nef, ceiling=_ceiling(problem)
+        problem.lattice, problem.ample, problem.group, problem.nef, ceiling=problem.ceiling
     )
 
 
@@ -113,7 +93,9 @@ def _cmd_validate(problem: Problem, args):
 
 
 def _cmd_roots(problem: Problem, args):
-    bound = _enum_bound(problem, args.bound, 2 * problem.lattice.norm(problem.ample))
+    bound = _enum_bound(problem, args.bound)
+    if bound is None:
+        bound = ROOT_BOUND_FACTOR * problem.lattice.norm(problem.ample)
     roots = roots_up_to_degree(problem.lattice, problem.ample, bound)
     results = {
         "bound": str(bound),
@@ -124,7 +106,7 @@ def _cmd_roots(problem: Problem, args):
 
 
 def _cmd_walls(problem: Problem, args):
-    nef = _nef(problem)
+    nef = problem.nef
     warnings = []
     if not nef.polyhedral:
         warnings.append(
@@ -180,24 +162,24 @@ def _dot_graph(problem: Problem, domain: SterkDomain) -> str:
 
 
 def _cmd_sterk(problem: Problem, args):
-    nef = _nef(problem)
     warnings = []
     try:
-        domain = _domain(problem, nef)
+        domain = _domain(problem)
     except BoundExhausted as e:
         domain = e.partial
         if domain is None:
             results = {"domain": None, "fundamental": None}
             return results, {"saturated": False}, [str(e)]
         warnings.append(str(e))
-    seed = args.seed if args.seed is not None else (
-        problem.bounds.seed if problem.bounds.seed is not None else DEFAULT_SEED
-    )
-    samples = problem.bounds.samples or DEFAULT_SAMPLES
-    word_length = problem.bounds.word_length or DEFAULT_WORD_LENGTH
+    bounds = problem.bounds
+    configured = {
+        "samples": bounds.samples,
+        "word_length": bounds.word_length,
+        "seed": bounds.seed if args.seed is None else args.seed,
+    }
     cert = verify_fundamental(
-        problem.lattice, problem.ample, problem.group, domain, nef,
-        samples=samples, word_length=word_length, seed=seed,
+        problem.lattice, problem.ample, problem.group, domain, problem.nef,
+        **{k: v for k, v in configured.items() if v is not None},
     )
     results = {
         "domain": rpt.domain_payload(domain),
@@ -216,8 +198,7 @@ def _cmd_sterk(problem: Problem, args):
 
 def _cmd_reduce(problem: Problem, args):
     x = _parse_class(args.cls, problem.lattice.rank)
-    nef = _nef(problem)
-    domain = _domain(problem, nef)
+    domain = _domain(problem)
     warnings = []
     certificates = {"saturated": domain.saturated, "in_domain": True}
     try:
@@ -247,12 +228,11 @@ def _empty_table_payload(kind: str, genus) -> dict:
 
 
 def _cmd_orbits(problem: Problem, args):
-    lat, ample, group = problem.lattice, problem.ample, problem.group
-    bound = _enum_bound(problem, args.bound, 4 * lat.norm(ample))
-    nef = _nef(problem)
+    bound = _enum_bound(problem, args.bound)
+    lat, ample, group, nef = problem.lattice, problem.ample, problem.group, problem.nef
     warnings = []
     try:
-        domain = _domain(problem, nef)
+        domain = _domain(problem)
     except BoundExhausted as e:
         genus = args.genus if args.kind == "genus" else None
         results = _empty_table_payload(args.kind, genus)
@@ -324,8 +304,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, with_bound=False, with_class=False):
         p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled verification (default 0)")
         if with_bound:
             p.add_argument("--bound", type=int, default=None)
         if with_class:
@@ -342,6 +320,8 @@ def _parser() -> argparse.ArgumentParser:
            with_class=True)
     p = sub.add_parser("sterk", help="fundamental domain and its certificates")
     common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for sampled verification (overrides bounds.seed)")
     p.add_argument("--dot", help="write chamber adjacency graph to this file")
     common(sub.add_parser("reduce", help="reduce a class into the domain"),
            with_class=True)

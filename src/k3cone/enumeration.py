@@ -59,7 +59,7 @@ class _Slice:
             for j in range(i + 1, m):
                 for k in range(j, m):
                     q[j][k] -= ratios[i][j] * q[i][k]
-        self.neg = neg
+        self.neg_inverse = linalg.inverse(neg)
         self.diag = [q[i][i] for i in range(m)]
         self.ratios = ratios
 
@@ -71,7 +71,7 @@ class _Slice:
         if m == 0:
             return (point,) if self.lat.norm(point) == norm else ()
         lin = [self.lat.pairing(point, b) for b in self.kernel]
-        center = linalg.solve_square(self.neg, lin)
+        center = linalg.mat_vec(self.neg_inverse, lin)
         radius = self.lat.norm(point) - norm + sum(
             c * b for c, b in zip(center, lin)
         )

@@ -48,6 +48,10 @@ class NotAnIsometry(GeometryError):
     """An integer matrix fails to preserve the pairing."""
 
 
+class NotUnimodular(GeometryError):
+    """An integer matrix has no integer inverse."""
+
+
 class ZeroVector(GeometryError):
     """The zero vector where a direction is required."""
 

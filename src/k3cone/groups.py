@@ -6,10 +6,15 @@ upgrades an arbitrary isometry of the right component into such an element by
 composing with the reflection word that walks its image of the ample class
 back into the chamber.
 
+Generator verification does not discover walls itself: the caller passes the
+chamber's ``NefDescription`` (a problem file passes the one it computes at its
+resolved doubling ceiling), and the wall-preservation cross-check runs only
+when that wall list is certified complete.
+
 The supersingular side is deliberately small: a datum ``(p, K)`` is a linear
 subspace of F_p^rank spanned by reduced basis vectors, and the filter keeps
-exactly the generators whose reduction preserves K.  Solvability of the
-defining systems is decided by Gaussian elimination over F_p.
+exactly the generators whose reduction preserves K.  Independence and
+membership are decided by one rank computation over F_p.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     NotAnIsometry,
 )
 from .lattice import Isometry, Lattice, Mat, Vec, as_vector
-from .weyl import NefDescription, nef_test, nef_walls, walk_to_nef, word_isometry
+from .weyl import NefDescription, nef_test, walk_to_nef, word_isometry
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,14 @@ def build_group(
 ) -> GroupGenerators:
     """Verify the supplied matrices and close them under inversion.
 
-    The wall-preservation check runs whenever a certified wall list is
-    available; pass ``nef`` to reuse one already computed.  Inverses of
-    verified generators are themselves chamber-preserving (the chamber is
-    carried bijectively onto itself), so they are added without re-checking.
+    The wall-preservation check runs when ``nef`` is a certified wall list;
+    without one it is skipped (the chamber test already implies it).
+    Inverses of verified generators are themselves chamber-preserving (the
+    chamber is carried bijectively onto itself), so they are added without
+    re-checking.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     matrices = [tuple(tuple(int(x) for x in row) for row in m) for m in matrices]
-    if matrices and nef is None:
-        nef = nef_walls(lat, ample)
     tagged: dict[Mat, str] = {}
     for i, m in enumerate(matrices):
         report = verify_generator(lat, ample, m, nef)
@@ -175,25 +179,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _solve_mod_p(columns, target, p):
-    """Whether the F_p system (columns) . lam = target is solvable."""
-    n = len(target)
-    k = len(columns)
-    rows = [[columns[j][i] % p for j in range(k)] + [target[i] % p] for i in range(n)]
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, n) if rows[i][c] % p != 0), None)
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of integer row vectors, by forward elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return all(row[k] % p == 0 for row in rows[r:])
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -213,22 +214,7 @@ class SupersingularDatum:
         n = len(basis[0])
         if any(len(b) != n for b in basis):
             raise DimensionMismatch("basis vectors of mixed lengths")
-        # independence over F_p: eliminate and count pivots
-        rows = [list(b) for b in basis]
-        p, r = self.prime, 0
-        for c in range(n):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] % p != 0:
-                    f = rows[i][c]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-            r += 1
-        if r != len(rows):
+        if _rank_mod_p(basis, self.prime) != len(basis):
             raise DegenerateBasis("basis vectors are dependent mod p")
 
 
@@ -239,11 +225,13 @@ def preserves_K(lat: Lattice, datum: SupersingularDatum, matrix) -> bool:
     m = tuple(tuple(int(x) for x in row) for row in matrix)
     if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
         raise DimensionMismatch(f"matrix must be {lat.rank}x{lat.rank}")
-    for b in datum.basis:
-        image = [c % datum.prime for c in linalg.mat_vec(m, b)]
-        if not _solve_mod_p(datum.basis, image, datum.prime):
-            return False
-    return True
+    # K is spanned by an independent basis, so an image lies in K exactly
+    # when appending it leaves the rank unchanged
+    k = len(datum.basis)
+    return all(
+        _rank_mod_p(datum.basis + (linalg.mat_vec(m, b),), datum.prime) == k
+        for b in datum.basis
+    )
 
 
 def filter_preserving_K(

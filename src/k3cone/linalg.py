@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import NotUnimodular
+
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
@@ -90,38 +92,21 @@ def matrix_rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def solve_square(a, b):
-    """Solve a*x = b exactly for square nonsingular ``a``; returns Fractions."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+def inverse(m):
+    """Exact inverse of a nonsingular square matrix, as rows of Fractions."""
+    n = len(m)
+    rows, pivots = rref([list(row) + list(e) for row, e in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def invert_unimodular(m):
     """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve_square(m, e))
-    inv = tuple(
-        tuple(int(cols[j][i]) for j in range(n)) for i in range(n)
-    )
-    for j, col in enumerate(cols):
-        for x in col:
-            assert x.denominator == 1, "matrix is not unimodular"
-    return inv
+    inv = inverse(m)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise NotUnimodular("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def signature(gram) -> tuple[int, int, int]:

@@ -24,7 +24,7 @@ from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators
 from .lattice import Lattice, Vec, as_vector
-from .sterk import SterkDomain, reduce_to_domain
+from .sterk import ORBIT_BOUND_FACTOR, SterkDomain, reduce_to_domain
 from .weyl import NefDescription, word_isometry
 
 MERGE_DEPTH = 4
@@ -141,18 +141,33 @@ def nodal_orbits(
     )
 
 
-def _reduced_table(
-    lat: Lattice, ample, group, domain, norm: int, bound: int, primitive_only: bool
-) -> tuple:
-    if primitive_only:
+def _reduced_table(lat: Lattice, ample, group, domain, genus, bound: int) -> tuple:
+    """Reduced orbits of the norm 2g-2 classes (primitive isotropic ones when
+    genus is None) up to the degree bound."""
+    if genus is None:
         classes = isotropics_up_to_degree(lat, ample, bound)
     else:
-        classes = classes_up_to_degree(lat, ample, norm, bound)
+        classes = classes_up_to_degree(lat, ample, 2 * genus - 2, bound)
     reduced: dict[Vec, list] = {}
     for x in classes:
         z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
         reduced.setdefault(z, []).append((x, reflections, word))
     return tuple(_merge_classes(lat, ample, group, reduced))
+
+
+def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
+    """The table up to the degree bound, stable when doubling it adds no orbit."""
+    ample = as_vector(ample, lat.rank, "ample class")
+    if bound is None:
+        bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
+    if bound < 0:
+        raise UnboundedQuery("the degree bound must be non-negative")
+    entries = _reduced_table(lat, ample, group, domain, genus, bound)
+    doubled = _reduced_table(lat, ample, group, domain, genus, 2 * bound)
+    stable = {e.representative for e in entries} == {
+        e.representative for e in doubled
+    }
+    return OrbitTable(kind, genus, entries, bound, stable)
 
 
 def elliptic_orbits(
@@ -163,17 +178,7 @@ def elliptic_orbits(
     bound: int | None = None,
 ) -> OrbitTable:
     """Orbits of primitive isotropic chamber classes up to the degree bound."""
-    ample = as_vector(ample, lat.rank, "ample class")
-    if bound is None:
-        bound = 4 * lat.norm(ample)
-    if bound < 0:
-        raise UnboundedQuery("the degree bound must be non-negative")
-    entries = _reduced_table(lat, ample, group, domain, 0, bound, True)
-    doubled = _reduced_table(lat, ample, group, domain, 0, 2 * bound, True)
-    stable = {e.representative for e in entries} == {
-        e.representative for e in doubled
-    }
-    return OrbitTable("elliptic", None, entries, bound, stable)
+    return _stable_table(lat, ample, group, domain, "elliptic", None, bound)
 
 
 def genus_orbits(
@@ -196,18 +201,7 @@ def genus_orbits(
         return nodal_orbits(lat, ample, group, nef, domain)
     if genus == 1:
         return elliptic_orbits(lat, ample, group, domain, bound)
-    ample = as_vector(ample, lat.rank, "ample class")
-    if bound is None:
-        bound = 4 * lat.norm(ample)
-    if bound < 0:
-        raise UnboundedQuery("the degree bound must be non-negative")
-    norm = 2 * genus - 2
-    entries = _reduced_table(lat, ample, group, domain, norm, bound, False)
-    doubled = _reduced_table(lat, ample, group, domain, norm, 2 * bound, False)
-    stable = {e.representative for e in entries} == {
-        e.representative for e in doubled
-    }
-    return OrbitTable("genus", genus, entries, bound, stable)
+    return _stable_table(lat, ample, group, domain, "genus", genus, bound)
 
 
 ISOTROPY_ADVICE = (

@@ -6,18 +6,27 @@ Integers may be JSON numbers or decimal strings (output is always decimal
 strings; inputs round-trip).  Errors are located: a malformed field raises
 ProblemFormatError naming it, and validation failures from the math layers
 are re-raised with a ``where`` attribute attached.
+
+The doubling ceiling is resolved once, at parse time: the K3CONE_CEILING
+environment variable, then ``bounds.ceiling``, then the library default.  A
+``Problem`` computes its chamber at that ceiling at most once, on first use;
+generator verification is such a use, so a file with generators pays for
+its walls while parsing and every later consumer reuses them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GeometryError, ProblemFormatError
 from .groups import GroupGenerators, SupersingularDatum, build_group
 from .lattice import Lattice, Mat, Vec, validate_problem
+from .weyl import DOUBLING_CEILING, NefDescription, nef_walls
 
 
 @dataclass(frozen=True)
@@ -35,12 +44,23 @@ class Bounds:
 class Problem:
     lattice: Lattice
     ample: Vec
-    group: GroupGenerators
     generator_matrices: tuple[Mat, ...]
     supersingular: SupersingularDatum | None
     bounds: Bounds
+    ceiling: int  # the resolved doubling ceiling
     digest: str
     raw: dict = field(repr=False)
+
+    @cached_property
+    def nef(self) -> NefDescription:
+        """The chamber at the resolved ceiling, computed on first use."""
+        return nef_walls(self.lattice, self.ample, ceiling=self.ceiling)
+
+    @cached_property
+    def group(self) -> GroupGenerators:
+        """The verified generators; ``parse_problem`` builds this eagerly."""
+        nef = self.nef if self.generator_matrices else None
+        return build_group(self.lattice, self.ample, self.generator_matrices, nef)
 
 
 def _int_from(value, where: str) -> int:
@@ -86,6 +106,19 @@ def _located(err: GeometryError, where: str):
     return err
 
 
+def _resolve_ceiling(bounds: Bounds) -> int:
+    env = os.environ.get("K3CONE_CEILING")
+    if env is None:
+        return DOUBLING_CEILING if bounds.ceiling is None else bounds.ceiling
+    try:
+        value = int(env)
+    except ValueError:
+        raise GeometryError(f"K3CONE_CEILING must be an integer, got {env!r}") from None
+    if value < 0:
+        raise GeometryError("K3CONE_CEILING must be non-negative")
+    return value
+
+
 def parse_problem(data) -> Problem:
     """Parse and fully validate a problem given as JSON text/bytes or a dict."""
     if isinstance(data, (bytes, bytearray)):
@@ -127,11 +160,6 @@ def parse_problem(data) -> Problem:
         raise ProblemFormatError("generators", "expected a list of matrices")
     for i, m in enumerate(gens_field):
         matrices.append(_matrix_from(m, rank, f"generators[{i}]"))
-    try:
-        group = build_group(lattice, ample, matrices)
-    except GeometryError as e:
-        index = getattr(e, "index", None)
-        raise _located(e, f"generators[{index}]" if index is not None else "generators") from None
 
     supersingular = None
     if "supersingular" in data:
@@ -179,16 +207,22 @@ def parse_problem(data) -> Problem:
         data, sort_keys=True, separators=(",", ":")
     )
     digest = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return Problem(
+    problem = Problem(
         lattice=lattice,
         ample=ample,
-        group=group,
         generator_matrices=tuple(matrices),
         supersingular=supersingular,
         bounds=bounds,
+        ceiling=_resolve_ceiling(bounds),
         digest=digest,
         raw=data,
     )
+    try:
+        problem.group  # verify the generators now, so errors are located here
+    except GeometryError as e:
+        index = getattr(e, "index", None)
+        raise _located(e, f"generators[{index}]" if index is not None else "generators") from None
+    return problem
 
 
 def serialize_problem(problem: Problem) -> dict:

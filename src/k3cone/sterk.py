@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import linalg
 from .cones import (
     RationalCone,
     cone_from_inequalities,
@@ -32,6 +33,8 @@ from .errors import BoundExhausted, CoverageFailure, GeometryError
 from .groups import GroupGenerators, orbit_descend
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
 from .weyl import DOUBLING_CEILING, NefDescription, nef_test, nef_walls, walk_to_nef
+
+ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,14 @@ def sterk_domain(
     group: GroupGenerators,
     nef: NefDescription | None = None,
     bound: int | None = None,
-    ceiling: int | None = None,
+    ceiling: int = DOUBLING_CEILING,
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
     if nef is None:
         nef = nef_walls(lat, ample, ceiling=ceiling)
-    if ceiling is None:
-        ceiling = DOUBLING_CEILING
     chamber = _chamber_normals(nef)
     if bound is None:
-        bound = 4 * lat.norm(ample)
+        bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
     fallback = None
     for _ in range(ceiling + 1):
         orbit = orbit_of_ample(lat, ample, group, bound)
@@ -192,9 +193,7 @@ class FundamentalCertificate:
 def group_words(group: GroupGenerators, length: int):
     """Distinct non-identity group elements spelled by words up to ``length``."""
     lat = group.lattice
-    identity = Isometry(lat, tuple(
-        tuple(1 if i == j else 0 for j in range(lat.rank)) for i in range(lat.rank)
-    ))
+    identity = Isometry(lat, linalg.identity(lat.rank))
     elements: dict = {identity.matrix: ()}
     frontier = [identity]
     for _ in range(length):

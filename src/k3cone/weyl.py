@@ -47,6 +47,7 @@ from .lattice import (
 )
 
 DOUBLING_CEILING = 12  # default number of bound doublings before giving up
+ROOT_BOUND_FACTOR = 2  # the first root-degree bound, as a multiple of H^2
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     if lat.pairing(ample, ample) <= 0:
         raise GeometryError("wall discovery needs an ample class of positive norm")
     ceiling = DOUBLING_CEILING if ceiling is None else ceiling
-    bound = 2 * lat.norm(ample)
+    bound = ROOT_BOUND_FACTOR * lat.norm(ample)
     previous_roots = None
     for _ in range(ceiling + 1):
         certified = _certified_description(lat, ample, bound)

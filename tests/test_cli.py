@@ -5,12 +5,17 @@ JSON report on success and stderr one JSON error object on failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import jsonschema
 
-from k3cone import SCHEMA_VERSION, report_schema
+import k3cone
+from k3cone import SCHEMA_VERSION, report_schema, weyl
 from k3cone.cli import main
 
 from conftest import PROBLEMS
@@ -123,6 +128,22 @@ def test_sterk_seed_flag_echoed(capsys):
     code, rep = run_valid(capsys, "sterk", L_P, "--seed", "7")
     assert code == 0
     assert rep["results"]["fundamental"]["seed"] == "7"
+
+
+def test_sterk_echoes_zero_valued_bounds(tmp_path, capsys):
+    data = json.loads((PROBLEMS / "l_p.json").read_text())
+    data["bounds"] = {"samples": 0, "word_length": 0}
+    prob = tmp_path / "zero.json"
+    prob.write_text(json.dumps(data))
+    code, rep = run_valid(capsys, "sterk", str(prob))
+    assert code == 0
+    assert rep["results"]["fundamental"]["samples"] == "0"
+    assert rep["results"]["fundamental"]["word_length"] == "0"
+
+
+def test_seed_flag_only_on_sterk():
+    with pytest.raises(SystemExit):  # argparse rejects the unknown flag
+        main(["walls", L_P, "--seed", "7"])
 
 
 def test_reduce(capsys):
@@ -281,6 +302,58 @@ def test_ceiling_env_beats_file_bounds(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("K3CONE_CEILING", "0")
     code, rep, _ = run(capsys, "walls", str(prob))
     assert rep["results"]["search_bound"] == "36"
+
+
+def test_ceiling_env_governs_generator_verification(tmp_path):
+    """diag(2,-4,-6) does not certify for a long while; at ceiling 1 parsing
+    the identity generator must stop after two bounds instead of twelve."""
+    prob = tmp_path / "slow.json"
+    prob.write_text(json.dumps({
+        "rank": 3,
+        "gram": [[2, 0, 0], [0, -4, 0], [0, 0, -6]],
+        "ample": [3, 1, 1],
+        "generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    }))
+    src = str(Path(k3cone.__file__).resolve().parent.parent)
+    env = dict(os.environ, K3CONE_CEILING="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a child process, so that a regression fails at the deadline instead of hanging
+    done = subprocess.run(
+        [sys.executable, "-m", "k3cone.cli", "validate", str(prob)],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["generators_verified"] == "1"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("walls", L_P), 1),
+    (("sterk", L_R), 1),
+    (("reduce", L_P, "--class=8,11"), 1),
+    (("orbits", L_P, "--kind", "nodal"), 1),
+    (("orbits", L_R, "--kind", "genus", "--genus", "2"), 1),
+    (("validate", L_U), 0),
+    (("roots", RANK5, "--bound", "4"), 0),
+    (("walk", L_U, "--class=1,3"), 0),
+    (("nef-test", L_U, "--class=5,1"), 0),
+    (("isotropic", RANK5, "--bound", "1"), 0),
+    (("filter-k", RANK5), 0),
+])
+def test_walls_are_computed_at_most_once(monkeypatch, capsys, argv, expected):
+    original = weyl.nef_walls
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # rebind the name in every module that imported it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k3cone") and getattr(module, "nef_walls", None) is original:
+            monkeypatch.setattr(module, "nef_walls", counting)
+    code, _ = run_valid(capsys, *argv)
+    assert code == 0
+    assert len(calls) == expected
 
 
 def test_all_commands_emit_schema_valid_reports(capsys):

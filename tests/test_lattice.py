@@ -1,6 +1,7 @@
 """Gram validation, pairing arithmetic, reflections, and isometry algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from k3cone import (
     Lattice,
     NonPositiveAmple,
     NotAnIsometry,
+    NotUnimodular,
     OddLattice,
     AmpleOnWall,
     WrongSignature,
@@ -19,6 +21,8 @@ from k3cone import (
     reflection_matrix,
     validate_problem,
 )
+
+from k3cone import linalg
 
 from conftest import GRAM_P, GRAM_R, GRAM_U, random_even_hyperbolic
 
@@ -155,6 +159,17 @@ def test_isometry_compose_inverse():
     r = Isometry(lat, ((17, -12), (24, -17)))
     x = (8, 11)
     assert g.compose(r).apply(x) == g.apply(r.apply(x))
+
+
+def test_exact_inverse_and_unimodular_guard():
+    m = ((2, 1, 0), (1, 1, 0), (0, 3, 1))
+    inv = linalg.invert_unimodular(m)
+    assert linalg.mat_mul(m, inv) == linalg.identity(3)
+    assert linalg.inverse(((2, 0), (0, 4))) == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))
+    with pytest.raises(NotUnimodular):
+        linalg.invert_unimodular(((2, 0), (0, 1)))  # det 2: inverse not integral
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse(((1, 2), (2, 4)))
 
 
 def test_primitive_ray():
