@@ -3,7 +3,12 @@
 The key observation: for an ample class H, the affine slice ``{x : x.H = d}``
 becomes, after splitting off H, a coset of the negative definite sublattice
 ``H-perp``.  Enumerating a fixed norm on such a slice is a bounded search, run
-here with an exact rational Cholesky split (no floats, fractions only).
+as an integer-scaled Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44,
+1985): the rational LDL^T split of the slice form is computed once per (L, H)
+and scaled to integers, so the search compares integers against ``isqrt``
+bounds and builds no fraction per node.  Each (L, H) also keeps one
+degree-ordered stream per norm -- the vectors found so far and the degree
+scanned up to -- which degree-bounded queries extend past that mark and slice.
 
 The same completeness argument powers ``separating_roots``: a root delta with
 ``delta.H > 0 > delta.x`` vanishes somewhere on the segment [H, x], and at a
@@ -17,12 +22,16 @@ to the closed bound ``delta.H <= x.H``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
+    DimensionMismatch,
+    NonPositiveAmple,
     OppositeCone,
     OutsidePositiveCone,
     UnboundedQuery,
@@ -34,79 +43,100 @@ ROOT_NORM = -2
 
 
 class _Slice:
-    """Shared decomposition data for all (norm, degree) queries on (L, H)."""
+    """Integer search data and the degree-ordered streams for one (L, H).
+
+    A point of degree ``k * content`` is ``k * base + c . kernel``; its norm
+    is ``n`` exactly when ``(c - z)^T Q (c - z) = radius`` for the definite
+    ``Q = -(A|kernel) = U^T D U``.  ``delta``, ``p`` and ``lc`` clear the
+    denominators of ``Q^-1``, ``U`` and ``D``, so the search runs on integers.
+    """
 
     def __init__(self, lat: Lattice, ample: Vec):
-        self.lat = lat
-        self.ample = ample
-        form = lat.gram_vec(ample)  # degree(x) = form . x
-        self.content, cols = linalg.split_linear_form(form)
-        assert self.content > 0, "degree form vanished on a nondegenerate lattice"
+        self.form = lat.gram_vec(ample)  # degree(x) = form . x
+        self.content, cols = linalg.split_linear_form(self.form)
+        if self.content == 0:
+            raise ZeroVector("the degree form vanishes: the ample class is zero")
         self.base = cols[0]  # degree(base) = content
         self.kernel = cols[1:]  # saturated basis of the degree-zero sublattice
         m = len(self.kernel)
-        neg = [
-            [-lat.pairing(self.kernel[i], self.kernel[j]) for j in range(m)]
-            for i in range(m)
-        ]
-        # rational Cholesky of the positive definite -(A|kernel)
-        q = [[Fraction(neg[i][j]) for j in range(m)] for i in range(m)]
+        neg = [[-lat._pair(a, b) for b in self.kernel] for a in self.kernel]
+        q = [[Fraction(x) for x in row] for row in neg]
         ratios = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            assert q[i][i] > 0, "slice form is not definite"
+        for i in range(m):  # rational LDL^T, once per (L, H)
+            if q[i][i] <= 0:
+                raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
             for j in range(i + 1, m):
                 ratios[i][j] = q[i][j] / q[i][i]
             for j in range(i + 1, m):
                 for k in range(j, m):
                     q[j][k] -= ratios[i][j] * q[i][k]
-        self.neg_inverse = linalg.inverse(neg)
-        self.diag = [q[i][i] for i in range(m)]
-        self.ratios = ratios
+        inv = linalg.inverse(neg)
+        delta = lcm(*(x.denominator for row in inv for x in row))
+        p = lcm(*(x.denominator for row in ratios for x in row))
+        lc = lcm(*(q[i][i].denominator for i in range(m)))
+        self.pu = [[int(p * x) for x in row] for row in ratios]
+        self.diag = [int(lc * q[i][i]) for i in range(m)]
+        self.delta, self.p, self.top = delta, p, p * p * delta * lc
+        # at degree k * content: delta * z = k * centre and
+        # delta * radius = k^2 * quad - delta * norm
+        lin = [lat._pair(self.base, b) for b in self.kernel]
+        self.centre = [sum(int(delta * x) * y for x, y in zip(row, lin)) for row in inv]
+        self.quad = delta * lat._pair(self.base, self.base)
+        self.quad += sum(map(mul, self.centre, lin))
+        self.streams: dict[int, list] = {}
 
     def query(self, norm: int, degree: int) -> tuple[Vec, ...]:
+        """All x with x.x == norm and x.H == degree, lex-sorted; integers only."""
         if degree % self.content != 0:
             return ()
-        point = tuple((degree // self.content) * c for c in self.base)
-        m = len(self.kernel)
-        if m == 0:
-            return (point,) if self.lat.norm(point) == norm else ()
-        lin = [self.lat.pairing(point, b) for b in self.kernel]
-        center = linalg.mat_vec(self.neg_inverse, lin)
-        radius = self.lat.norm(point) - norm + sum(
-            c * b for c, b in zip(center, lin)
-        )
-        if radius < 0:
+        k = degree // self.content
+        dr = k * k * self.quad - self.delta * norm
+        if dr < 0:
             return ()
-        out = []
-        coeffs = [0] * m
+        point = tuple(k * c for c in self.base)
+        m, kernel, pu, diag = len(self.kernel), self.kernel, self.pu, self.diag
+        if m == 0:
+            return (point,) if dr == 0 else ()
+        delta, p, s = self.delta, self.p, self.p * self.delta
+        zc = [k * c for c in self.centre]
+        coeffs, out = [0] * m, []
 
-        def descend(i: int, remaining: Fraction):
-            converted = [Fraction(coeffs[j]) - center[j] for j in range(i + 1, m)]
-            shift = sum(
-                self.ratios[i][j] * c for j, c in zip(range(i + 1, m), converted)
+        def descend(i: int, rest: int):
+            # s times the centre of coordinate i, given the coordinates above it
+            mid = p * zc[i] - sum(
+                pu[i][j] * (delta * coeffs[j] - zc[j]) for j in range(i + 1, m)
             )
-            mid = center[i] - shift
-            bound = remaining / self.diag[i]
-            lo = linalg.ceil_minus_sqrt(mid, bound)
-            hi = linalg.floor_plus_sqrt(mid, bound)
-            for t in range(lo, hi + 1):
+            if i == 0:  # the last coordinate must use up the radius exactly
+                e = isqrt(rest // diag[0])
+                for t in {(mid - e) // s, (mid + e) // s}:
+                    if diag[0] * (s * t - mid) ** 2 == rest:
+                        coeffs[0] = t
+                        out.append(tuple(
+                            x + sum(c * b[r] for c, b in zip(coeffs, kernel))
+                            for r, x in enumerate(point)
+                        ))
+                return
+            w = isqrt(rest // diag[i])
+            for t in range(-((w - mid) // s), (mid + w) // s + 1):
                 coeffs[i] = t
-                offset = Fraction(t) - mid
-                rest = remaining - self.diag[i] * offset * offset
-                if i == 0:
-                    if rest == 0:
-                        out.append(
-                            tuple(
-                                point[r]
-                                + sum(coeffs[j] * self.kernel[j][r] for j in range(m))
-                                for r in range(self.lat.rank)
-                            )
-                        )
-                else:
-                    descend(i - 1, rest)
+                descend(i - 1, rest - diag[i] * (s * t - mid) ** 2)
 
-        descend(m - 1, Fraction(radius))
+        descend(m - 1, self.top * dr)
         return tuple(sorted(out))
+
+    def stream(self, norm: int, bound: int) -> list[Vec]:
+        """The vectors of this norm with 0 < degree <= bound, in degree order.
+
+        Each norm keeps one list of the vectors found so far and the degree it
+        is scanned up to; a larger bound extends it, a smaller one slices it.
+        """
+        entry = self.streams.setdefault(norm, [[], 0])
+        found = entry[0]
+        for d in range(entry[1] + 1, bound + 1):
+            found.extend(self.query(norm, d))
+            entry[1] = d
+        end = bisect_right(found, bound, key=lambda v: sum(map(mul, self.form, v)))
+        return found[:end]
 
 
 @lru_cache(maxsize=64)
@@ -127,13 +157,9 @@ def classes_up_to_degree(
     if bound < 0:
         raise UnboundedQuery(f"degree bound {bound} is negative")
     ample = as_vector(ample, lat.rank, "ample class")
-    sl = _slice_for(lat, ample)
-    found = []
-    for d in range(1, bound + 1):
-        for v in sl.query(norm, d):
-            if primitive_only and linalg.vec_gcd(v) != 1:
-                continue
-            found.append(v)
+    found = _slice_for(lat, ample).stream(norm, bound)
+    if primitive_only:
+        found = [v for v in found if linalg.vec_gcd(v) == 1]
     return tuple(sorted(found))
 
 
@@ -171,37 +197,33 @@ def separating_degree_bound(lat: Lattice, ample, x) -> int:
     x2 = lat.norm(x)
     if x2 == 0:
         return hx
-    # f(s) = (H.u)^2 / u^2 along u = (1-s) H + s x; maximize exactly
-    n0, n1 = Fraction(h2), Fraction(hx - h2)  # N(s) = n0 + n1 s
-    d0 = Fraction(h2)
-    d1 = Fraction(2 * (hx - h2))
-    d2 = Fraction(h2 - 2 * hx + x2)  # D(s) = d0 + d1 s + d2 s^2
-
-    def n_of(s):
-        return n0 + n1 * s
-
-    def d_of(s):
-        return d0 + d1 * s + d2 * s * s
-
+    # f(s) = (H.u)^2 / u^2 = N(s)^2 / D(s) along u = (1-s) H + s x, with
+    # N = n0 + n1 s and D = d0 + d1 s + d2 s^2; maximize exactly
+    n0, n1 = h2, hx - h2
+    d0, d1, d2 = h2, 2 * (hx - h2), h2 - 2 * hx + x2
     candidates = [Fraction(0), Fraction(1)]
     # numerator of f' is N (2 N' D - N D'); the second factor is linear in s
     p0 = 2 * n1 * d0 - n0 * d1
     p1 = 2 * n1 * d1 - n0 * 2 * d2 - n1 * d1
-    if p1 != 0:
-        s = -p0 / p1
-        if 0 < s < 1 and d_of(s) > 0:
-            candidates.append(s)
-    best = max(n_of(s) * n_of(s) / d_of(s) for s in candidates)
+    s = Fraction(-p0, p1) if p1 != 0 else Fraction(0)
+    if 0 < s < 1 and d0 + d1 * s + d2 * s * s > 0:
+        candidates.append(s)
+    best = max((n0 + n1 * s) ** 2 / (d0 + d1 * s + d2 * s * s) for s in candidates)
     return linalg.floor_sqrt(2 * (best - h2))
 
 
 def separating_roots(lat: Lattice, ample, x) -> tuple[Vec, ...]:
     """All roots delta with delta.H > 0 > delta.x, lex-sorted.  Complete."""
+    ample = as_vector(ample, lat.rank, "ample class")
     x = as_vector(x, lat.rank)
     bound = separating_degree_bound(lat, ample, x)
-    return tuple(
-        d for d in roots_up_to_degree(lat, ample, bound) if lat.pairing(d, x) < 0
-    )
+    gx, roots = lat._dual(x), _root_stream(lat, ample, bound)
+    return tuple(sorted(d for d in roots if sum(map(mul, d, gx)) < 0))
+
+
+def _root_stream(lat: Lattice, ample: Vec, bound: int) -> list[Vec]:
+    """The roots of ``roots_up_to_degree`` in degree order, unchecked and unsorted."""
+    return _slice_for(lat, ample).stream(ROOT_NORM, bound)
 
 
 def rational_isotropic_rays(lat: Lattice, ample) -> tuple[Vec, ...]:
@@ -210,7 +232,8 @@ def rational_isotropic_rays(lat: Lattice, ample) -> tuple[Vec, ...]:
     Returns both primitive isotropic vectors oriented into the ample
     component, or () when the binary form's discriminant is not a square.
     """
-    assert lat.rank == 2, "isotropic boundary rays are a rank-2 notion"
+    if lat.rank != 2:
+        raise DimensionMismatch("isotropic boundary rays are a rank-2 notion")
     ample = as_vector(ample, lat.rank, "ample class")
     a, b, c = lat.gram[0][0], lat.gram[0][1], lat.gram[1][1]
     disc = b * b - a * c  # -det(G) > 0 in hyperbolic signature

@@ -14,7 +14,8 @@ positive square in its signature, no null directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -80,21 +81,22 @@ class Lattice:
         return len(self.gram)
 
     def pairing(self, x, y) -> int:
-        x = as_vector(x, self.rank)
-        y = as_vector(y, self.rank)
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return self._pair(as_vector(x, self.rank), as_vector(y, self.rank))
+
+    def _pair(self, x, y) -> int:
+        """``pairing`` without re-validation, for vectors the package built."""
+        return sum(map(mul, x, self._dual(y)))
+
+    def _dual(self, y) -> Vec:
+        """G y without re-validation: x . y is the plain dot product of x with it."""
+        return tuple(sum(map(mul, row, y)) for row in self.gram)
 
     def norm(self, x) -> int:
         return self.pairing(x, x)
 
     def gram_vec(self, x) -> Vec:
         """G x -- the euclidean normal of the pairing hyperplane x-perp."""
-        x = as_vector(x, self.rank)
-        return tuple(sum(row[j] * x[j] for j in range(self.rank)) for row in self.gram)
+        return self._dual(as_vector(x, self.rank))
 
 
 def primitive_ray(x) -> Vec:

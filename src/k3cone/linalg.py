@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotUnimodular
+from .errors import GeometryError, NotUnimodular
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -30,14 +30,6 @@ def mat_vec(m, v):
 def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -181,21 +173,7 @@ def split_linear_form(c):
 
 def floor_sqrt(value: Fraction) -> int:
     """floor(sqrt(p/q)) for a non-negative fraction, exactly."""
-    assert value >= 0
+    if value < 0:
+        raise GeometryError(f"square root of the negative number {value}")
     p, q = value.numerator, value.denominator
     return math.isqrt(p * q) // q
-
-
-def floor_plus_sqrt(center: Fraction, radicand: Fraction) -> int:
-    """floor(center + sqrt(radicand)) exactly (radicand >= 0)."""
-    k = math.floor(center) + floor_sqrt(radicand) + 1
-    while True:
-        diff = k - center
-        if diff <= 0 or diff * diff <= radicand:
-            return k
-        k -= 1
-
-
-def ceil_minus_sqrt(center: Fraction, radicand: Fraction) -> int:
-    """ceil(center - sqrt(radicand)) exactly (radicand >= 0)."""
-    return -floor_plus_sqrt(-center, radicand)

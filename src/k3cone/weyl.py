@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .cones import RationalCone, cone_from_inequalities, remove_redundant
 from .enumeration import (
+    _root_stream,
     check_positive_closure,
     rational_isotropic_rays,
     roots_up_to_degree,
@@ -81,8 +83,8 @@ def walk_to_nef(lat: Lattice, ample, x) -> tuple[Vec, tuple[Vec, ...]]:
             return x, tuple(word)
 
         def crossing(delta):
-            dh = lat.pairing(delta, ample)
-            dx = lat.pairing(delta, x)
+            dh = lat._pair(delta, ample)
+            dx = lat._pair(delta, x)
             return Fraction(dh, dh - dx)
 
         delta = min(seps, key=lambda d: (crossing(d), d))
@@ -106,7 +108,7 @@ def word_isometry(lat: Lattice, word) -> Isometry:
 
 def _facet_witness(lat, ample, cone, wall):
     """Interior point of the wall's facet: a positive sum of its tight rays."""
-    tight = [r for r in cone.rays if lat.pairing(r, wall) == 0]
+    tight = [r for r in cone.rays if lat._pair(r, wall) == 0]
     others = [n for n in cone.normals if n != wall]
     for weights in (None, range(1, len(tight) + 1)):
         if weights is None:
@@ -122,21 +124,16 @@ def _facet_witness(lat, ample, cone, wall):
         # no other root may vanish at the witness; the separating bound at w
         # limits the degree of any root through it, so the check is finite
         bound = separating_degree_bound(lat, ample, w)
-        through = [
-            d
-            for d in roots_up_to_degree(lat, ample, bound)
-            if lat.pairing(d, w) == 0 and d != wall
-        ]
-        if through:
+        gw, roots = lat._dual(w), _root_stream(lat, ample, bound)
+        if any(sum(map(mul, d, gw)) == 0 and d != wall for d in roots):
             continue
         if nef_test(lat, ample, w):
             return w
     return None
 
 
-def _certified_description(lat, ample, bound):
-    """Try to certify the chamber at this root bound; None when not yet."""
-    roots = roots_up_to_degree(lat, ample, bound)
+def _certified_description(lat, ample, bound, roots):
+    """Try to certify the chamber cut by the roots up to bound; None when not yet."""
     iso = rational_isotropic_rays(lat, ample) if lat.rank == 2 else ()
     normals = list(roots) + [e for e in iso if e not in roots]
     if not normals:
@@ -145,7 +142,7 @@ def _certified_description(lat, ample, bound):
     if not (cone.pointed and cone.full_dim):
         return None
     for r in cone.rays:
-        if lat.norm(r) < 0 or lat.pairing(ample, r) <= 0:
+        if lat._pair(r, r) < 0 or lat._pair(ample, r) <= 0:
             return None
         if not nef_test(lat, ample, r):
             return None
@@ -168,14 +165,13 @@ def _certified_description(lat, ample, bound):
     )
 
 
-def _partial_description(lat, ample, bound, stable):
+def _partial_description(lat, ample, bound, roots, stable):
     """Best-effort wall subset when certification failed at the ceiling.
 
     Each reported wall still carries an exact witness (a nef interior point
     of its facet relative to the known walls); only completeness of the list
     is unknown, so the description is flagged incomplete and non-polyhedral.
     """
-    roots = roots_up_to_degree(lat, ample, bound)
     walls, witnesses = [], []
     if roots:
         for delta in remove_redundant(lat, roots):
@@ -184,7 +180,7 @@ def _partial_description(lat, ample, bound, stable):
             hd = lat.pairing(ample, delta)
             w = tuple(2 * ample[i] + hd * delta[i] for i in range(lat.rank))
             if any(
-                lat.pairing(w, m) <= 0 for m in roots if m != delta
+                lat._pair(w, m) <= 0 for m in roots if m != delta
             ) or not nef_test(lat, ample, w):
                 continue
             walls.append(delta)
@@ -212,13 +208,15 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     if lat.pairing(ample, ample) <= 0:
         raise GeometryError("wall discovery needs an ample class of positive norm")
     ceiling = DOUBLING_CEILING if ceiling is None else ceiling
+    if ceiling < 0:
+        raise GeometryError(f"doubling ceiling {ceiling} is negative")
     bound = ROOT_BOUND_FACTOR * lat.norm(ample)
     previous_roots = None
     for _ in range(ceiling + 1):
-        certified = _certified_description(lat, ample, bound)
+        roots = roots_up_to_degree(lat, ample, bound)
+        certified = _certified_description(lat, ample, bound, roots)
         if certified is not None:
             return certified
-        roots = roots_up_to_degree(lat, ample, bound)
         if not roots and previous_roots == ():
             return NefDescription(
                 walls=(),
@@ -233,7 +231,5 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
         previous_roots = roots
         bound *= 2
     final = bound // 2  # the last bound actually searched
-    stable = roots_up_to_degree(lat, ample, final) == roots_up_to_degree(
-        lat, ample, final // 2
-    )
-    return _partial_description(lat, ample, final, stable=stable)
+    stable = all(lat._pair(ample, r) <= final // 2 for r in roots)
+    return _partial_description(lat, ample, final, roots, stable=stable)

@@ -6,9 +6,17 @@ variable; the oracle just scans integer boxes with numpy.  Inside any box the
 two must agree exactly.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from k3cone import (
@@ -19,6 +27,7 @@ from k3cone import (
     ZeroVector,
     check_positive_closure,
     classes_up_to_degree,
+    enumeration,
     isotropics_up_to_degree,
     rational_isotropic_rays,
     roots_up_to_degree,
@@ -192,3 +201,102 @@ def test_separating_roots_equal_oracle_filter():
         got = separating_roots(latP, AMPLE_P, x)
         want = [d for d in O.box_roots(GRAM_P, AMPLE_P, BOX) if O.pairing(GRAM_P, d, x) < 0]
         assert in_box(got) == sorted(want)
+
+
+# ---------------------------------------------------------------- random lattices, whole slices
+
+
+def ellipsoid_box(gram, ample, norms, max_degree):
+    """A coordinate box holding every x with x.x in norms and 0 < x.H <= max_degree.
+
+    The majorant M = 2 (GH)(GH)^T / H^2 - G is positive definite, takes the
+    value 2 d^2 / H^2 - n on such an x, and M^-1 = G^-1 M G^-1 bounds each
+    coordinate by Cauchy-Schwarz.  Floats are fine here: one unit of slack.
+    """
+    g = np.array(gram, dtype=float)
+    a = g @ np.array(ample, dtype=float)
+    h2 = float(a @ np.array(ample, dtype=float))
+    majorant = 2 * np.outer(a, a) / h2 - g
+    reach = max(2 * max_degree**2 / h2 - n for n in norms)
+    return int(np.sqrt(reach * np.linalg.inv(majorant).diagonal().max())) + 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4))
+def test_whole_slices_match_box_oracle(seed, rank):
+    """Inside a box that holds the whole slice ellipsoid the oracle is complete."""
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank)
+    norms = (-4, -2, 0, 2)
+    cap = {2: 40, 3: 20, 4: 10}[rank]
+    top = max(d for d in range(1, 7) if d == 1 or ellipsoid_box(lat.gram, ample, norms, d) <= cap)
+    box = ellipsoid_box(lat.gram, ample, norms, top)
+    degrees = range(1, top + 1)
+    expected = O.box_by_norm_degree(lat.gram, ample, box, norms, degrees)
+    for n in norms:
+        for d in degrees:
+            assert list(vectors_norm_degree(lat, ample, n, d)) == expected[(n, d)], (n, d)
+        want = sorted(v for d in degrees for v in expected[(n, d)])
+        assert list(classes_up_to_degree(lat, ample, n, top)) == want, n
+
+
+def test_stream_answers_bounds_in_any_order(monkeypatch):
+    """Bounds asked out of order give the cold answers; a smaller bound scans nothing."""
+    lat, ample = Lattice(((2, 0, 0), (0, -4, 0), (0, 0, -6))), (3, 1, 1)
+    bounds = (40, 10, 80, 20)
+    cold = {}
+    for b in bounds:
+        enumeration._slice_for.cache_clear()
+        cold[b] = (roots_up_to_degree(lat, ample, b), isotropics_up_to_degree(lat, ample, b))
+    enumeration._slice_for.cache_clear()
+    scanned = []
+    query = enumeration._Slice.query
+
+    def counted(sl, norm, degree):
+        scanned.append(degree)
+        return query(sl, norm, degree)
+
+    monkeypatch.setattr(enumeration._Slice, "query", counted)
+    for b in bounds:
+        del scanned[:]
+        warm = (roots_up_to_degree(lat, ample, b), isotropics_up_to_degree(lat, ample, b))
+        assert warm == cold[b], b
+        if b < 80:
+            assert scanned == ([] if b < 40 else list(range(1, 41)) * 2), b
+    assert cold[80][0] and cold[10][0] != cold[80][0]
+
+
+def test_guards_raise_typed_errors_under_python_O():
+    """The enumeration guards are exceptions, not asserts that -O would strip."""
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from k3cone import (DimensionMismatch, GeometryError, Lattice, NonPositiveAmple,
+                            ZeroVector, rational_isotropic_rays, vectors_norm_degree)
+        from k3cone.linalg import floor_sqrt
+
+        assert False, "this child must run with assertions stripped"
+        u = Lattice(((0, 1), (1, 0)))
+        cases = [
+            (ZeroVector, lambda: vectors_norm_degree(u, (0, 0), -2, 1)),
+            (NonPositiveAmple, lambda: vectors_norm_degree(u, (1, -1), -2, 1)),
+            (NonPositiveAmple, lambda: vectors_norm_degree(u, (1, 0), 0, 1)),
+            (DimensionMismatch, lambda: rational_isotropic_rays(
+                Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2))), (1, 0, 0))),
+            (GeometryError, lambda: floor_sqrt(Fraction(-1, 3))),
+        ]
+        for error, call in cases:
+            try:
+                call()
+            except error:
+                print(error.__name__)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [
+        "ZeroVector", "NonPositiveAmple", "NonPositiveAmple", "DimensionMismatch", "GeometryError"
+    ]
