@@ -23,7 +23,7 @@ from .enumeration import (
     roots_up_to_degree,
     separating_roots,
 )
-from .errors import BoundExhausted, CoverageFailure, GeometryError
+from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
 from .groups import filter_preserving_K
 from .orbits import (
     ISOTROPY_ADVICE,
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         report = rpt.build_report(
             args.command, problem.digest, results, certificates, warnings
         )
+    except BrokenInvariant as e:
+        _emit_error("internal", e)
+        return 3
     except GeometryError as e:
         _emit_error("input", e)
         return 1

@@ -2,9 +2,27 @@
 
 Cones are cut out by pairing inequalities ``x . n >= 0`` whose normals ``n``
 are lattice vectors; the euclidean normal of such a wall is ``G n``.  All
-arithmetic is exact (integers and fractions), rays come back primitive and
-lex-sorted, and adjacency during the incremental step is decided by the rank
-of the common tight set -- fine at the ranks this package targets.
+arithmetic is exact (integers and fractions), and rays come back primitive
+and lex-sorted.
+
+``DoubleDescription`` is the one implementation of the incremental method
+(Fukuda & Prodon 1996).  Its state is the rays and lineality of the cone cut
+out so far and the rows kept so far; ``add`` cuts it by more rows, one at a
+time, and ``cone`` finishes it.  ``cone_from_inequalities`` validates and
+deduplicates its normals, adds them, and finishes.  ``nef_walls`` keeps one
+state across its doublings and adds only the roots each doubling brings.
+
+A row that vanishes on the lineality and on which no ray is negative is
+implied by the cone so far, and stays implied, because adding rows only
+shrinks the cone.  It is dropped without a step and never scanned again.
+Dropping it changes nothing downstream: an implied row is never a facet
+(facet normals of a full-dimensional cone are unique, and distinct primitive
+normals are never parallel), and the rank of the rows tight on a face is the
+same with or without rows the cone implies.  So the adjacency and facet tests
+look at the kept rows only.  Each ray carries the set of kept rows it is
+tight on, as a bit mask.  On a pointed cone two rays are adjacent exactly
+when no third ray is tight on every row they share (the combinatorial test);
+with lineality present the rank of the shared rows decides.
 
 The round positive cone is never materialized here; callers that need it use
 the predicate ``x.x >= 0 and x.H > 0`` directly and only hand in polyhedral
@@ -16,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import GeometryError, ZeroVector
@@ -45,10 +64,6 @@ class RationalCone:
         return linalg.matrix_rank(gens) if gens else 0
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _scaled_primitive(v):
     """Clear denominators of a rational vector and divide out the content."""
     denom = 1
@@ -61,60 +76,145 @@ def _scaled_primitive(v):
     return primitive_ray(ints)
 
 
-def _dd(rank: int, eu_rows):
-    """Rays and lineality of {x : a . x >= 0 for each euclidean row a}."""
-    rays: list[tuple] = []
-    lin: list[tuple] = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    processed: list[tuple] = []
+class DoubleDescription:
+    """The running state of {x : x . n >= 0 for every normal n added}.
 
-    def adjacent(r1, r2):
-        tight = [c for c in processed if _dot(c, r1) == 0 and _dot(c, r2) == 0]
-        want = rank - len(lin) - 2
+    ``rays`` and ``lineality`` generate the cone cut out so far, and
+    ``normals`` are the rows kept so far.  ``duals[i]`` is ``G rays[i]``, so a
+    row pairs with a ray in one dot product, and ``masks[i]`` has bit k set
+    when ``rays[i]`` is tight on ``normals[k]``.
+    """
+
+    def __init__(self, lat: Lattice):
+        self.lat = lat
+        self.rays: list[Vec] = []
+        self.duals: list[Vec] = []
+        self.masks: list[int] = []
+        self.lineality: list[Vec] = list(linalg.identity(lat.rank))
+        self.normals: list[Vec] = []
+
+    def add(self, normals) -> int:
+        """Cut by each normal in turn; returns how many were kept."""
+        kept = 0
+        for n in normals:
+            if self._cut(n):
+                self.normals.append(n)
+                kept += 1
+        return kept
+
+    def _cut(self, n) -> bool:
+        """One double-description step; False when the row is implied and dropped."""
+        lat, rays, masks = self.lat, self.rays, self.masks
+        bit = 1 << len(self.normals)
+        pivot = next((l for l in self.lineality if lat._pair(n, l)), None)
+        if pivot is not None:
+            ap = lat._pair(n, pivot)
+            if ap < 0:
+                pivot, ap = tuple(-x for x in pivot), -ap
+
+            def project(v, dot):  # onto the row's hyperplane, along the pivot
+                w = tuple(ap * x - dot * p for x, p in zip(v, pivot))
+                return primitive_ray(w) if any(w) else None
+
+            opposite = tuple(-x for x in pivot)
+            lin = [
+                project(l, lat._pair(n, l))
+                for l in self.lineality
+                if l != pivot and l != opposite
+            ]
+            # earlier rows vanish on the pivot, so a projected ray keeps its
+            # tight set and gains this row; the pivot is tight on every earlier row
+            fresh: dict[Vec, int] = {}
+            for r, g, m in zip(rays, self.duals, masks):
+                proj = project(r, sum(map(mul, n, g)))
+                if proj is not None:
+                    fresh.setdefault(proj, m | bit)
+            fresh.setdefault(pivot, bit - 1)
+            self.lineality = [l for l in lin if l is not None]
+            self._set_rays(fresh)
+            return True
+        dots = [sum(map(mul, n, g)) for g in self.duals]
+        if not dots or min(dots) >= 0:
+            return False  # the cone already satisfies the row, and only shrinks
+        kept, plus, minus = {}, [], []
+        for i, d in enumerate(dots):
+            if d > 0:
+                kept[rays[i]] = masks[i]
+                plus.append(i)
+            elif d == 0:
+                kept[rays[i]] = masks[i] | bit
+            else:
+                minus.append(i)
+        fresh = {}
+        for i in plus:
+            for j in minus:
+                common = masks[i] & masks[j]
+                if not self._adjacent(i, j, common):
+                    continue
+                comb = primitive_ray(
+                    tuple(dots[i] * y - dots[j] * x for x, y in zip(rays[i], rays[j]))
+                )
+                if comb not in kept:
+                    fresh.setdefault(comb, common | bit)
+        kept.update(fresh)
+        self._set_rays(kept)
+        return True
+
+    def _set_rays(self, masked: dict) -> None:
+        self.rays, self.masks = list(masked), list(masked.values())
+        self.duals = [self.lat._dual(r) for r in self.rays]
+
+    def _adjacent(self, i: int, j: int, common: int) -> bool:
+        """Whether rays i and j span a 2-face, given the rows tight on both."""
+        want = self.lat.rank - len(self.lineality) - 2
+        if common.bit_count() < want:
+            return False
+        if not self.lineality:
+            # pointed: the 2-face of i and j has no third extreme ray
+            return not any(
+                m & common == common
+                for k, m in enumerate(self.masks)
+                if k != i and k != j
+            )
+        tight = [c for k, c in enumerate(self.normals) if common >> k & 1]
         return linalg.matrix_rank(tight) == want if tight else want == 0
 
-    for a in eu_rows:
-        pivot = next((l for l in lin if _dot(a, l) != 0), None)
-        if pivot is not None:
-            if _dot(a, pivot) < 0:
-                pivot = tuple(-x for x in pivot)
-            ap = _dot(a, pivot)
-            new_lin = []
-            for l in lin:
-                if l == pivot or l == tuple(-x for x in pivot):
-                    continue
-                proj = _scaled_primitive(
-                    [Fraction(l[i]) - Fraction(_dot(a, l), ap) * pivot[i] for i in range(rank)]
-                )
-                if proj is not None:
-                    new_lin.append(proj)
-            new_rays = []
-            for r in rays:
-                proj = _scaled_primitive(
-                    [Fraction(r[i]) - Fraction(_dot(a, r), ap) * pivot[i] for i in range(rank)]
-                )
-                if proj is not None and proj not in new_rays:
-                    new_rays.append(proj)
-            if pivot not in new_rays:
-                new_rays.append(pivot)
-            rays, lin = new_rays, new_lin
+    def facets(self) -> tuple[Vec, ...]:
+        """The kept normals tight on a full facet, sorted (full-dimensional cones)."""
+        if not self.lineality:
+            # pointed: a row's tight rays span its face, and every smaller
+            # face lies in a facet, whose tight rays form a strictly larger set
+            faces = [
+                sum(1 << i for i, m in enumerate(self.masks) if m >> k & 1)
+                for k in range(len(self.normals))
+            ]
+            return tuple(sorted(
+                n for n, f in zip(self.normals, faces)
+                if f and not any(f & g == f and f != g for g in faces)
+            ))
+        rank, out = self.lat.rank, []
+        for k, n in enumerate(self.normals):
+            tight = [r for r, m in zip(self.rays, self.masks) if m >> k & 1]
+            tight += self.lineality
+            if tight and linalg.matrix_rank(tight) == rank - 1:
+                out.append(n)
+        return tuple(sorted(out))
+
+    def cone(self, normals=None) -> RationalCone:
+        """The cone so far: sorted rays, canonical lineality, facet normals.
+
+        The stored normals are the facets when the cone is pointed and
+        full-dimensional, and otherwise ``normals`` (default: the kept rows).
+        """
+        rank = self.lat.rank
+        rays = tuple(sorted(self.rays))
+        lineality = _canonical_lineality(self.lineality)
+        full_dim = linalg.matrix_rank(list(rays) + list(lineality)) == rank
+        if full_dim and not lineality:
+            stored = self.facets()
         else:
-            plus = [r for r in rays if _dot(a, r) > 0]
-            zero = [r for r in rays if _dot(a, r) == 0]
-            minus = [r for r in rays if _dot(a, r) < 0]
-            fresh = []
-            for rp in plus:
-                for rm in minus:
-                    if not adjacent(rp, rm):
-                        continue
-                    comb = tuple(
-                        _dot(a, rp) * rm[i] - _dot(a, rm) * rp[i] for i in range(rank)
-                    )
-                    comb = _scaled_primitive(comb)
-                    if comb is not None and comb not in fresh:
-                        fresh.append(comb)
-            rays = plus + zero + [r for r in fresh if r not in plus and r not in zero]
-        processed.append(tuple(a))
-    return rays, lin
+            stored = tuple(sorted(self.normals if normals is None else normals))
+        return RationalCone(rank, stored, rays, lineality, full_dim)
 
 
 def _canonical_lineality(lin):
@@ -131,14 +231,17 @@ def _canonical_lineality(lin):
     return tuple(sorted(out))
 
 
-def _facet_normals(eu_rows, normals, rays, rank):
-    """Subset of normals tight on a full facet (pointed full-dim cones)."""
-    keep = []
-    for a, n in zip(eu_rows, normals):
-        tight = [r for r in rays if _dot(a, r) == 0]
-        if tight and linalg.matrix_rank(tight) == rank - 1:
-            keep.append(n)
-    return tuple(sorted(set(keep)))
+def _described(lat: Lattice, normals) -> tuple[DoubleDescription, list[Vec]]:
+    """Validate and deduplicate normals, then run double description over them."""
+    seen: dict[Vec, None] = {}
+    for n in normals:
+        v = as_vector(n, lat.rank, "cone normal")
+        if all(c == 0 for c in v):
+            raise ZeroVector("zero vector cannot be a wall normal")
+        seen[primitive_ray(v)] = None
+    dd = DoubleDescription(lat)
+    dd.add(seen)
+    return dd, list(seen)
 
 
 def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
@@ -148,24 +251,8 @@ def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
     and full-dimensional, the deduplicated input otherwise.  No normals at
     all yields the full space, flagged via ``is_full_space``.
     """
-    seen = []
-    for n in normals:
-        v = as_vector(n, lat.rank, "cone normal")
-        if all(c == 0 for c in v):
-            raise ZeroVector("zero vector cannot be a wall normal")
-        v = primitive_ray(v)
-        if v not in seen:
-            seen.append(v)
-    eu_rows = [lat.gram_vec(n) for n in seen]
-    rays, lin = _dd(lat.rank, eu_rows)
-    rays = tuple(sorted(rays))
-    lineality = _canonical_lineality(lin)
-    full_dim = linalg.matrix_rank(list(rays) + list(lineality)) == lat.rank
-    if full_dim and not lineality:
-        stored = _facet_normals(eu_rows, seen, rays, lat.rank)
-    else:
-        stored = tuple(sorted(seen))
-    return RationalCone(lat.rank, stored, rays, lineality, full_dim)
+    dd, seen = _described(lat, normals)
+    return dd.cone(seen)
 
 
 def contains(lat: Lattice, cone: RationalCone, x) -> bool:
@@ -175,27 +262,20 @@ def contains(lat: Lattice, cone: RationalCone, x) -> bool:
 
 
 def remove_redundant(lat: Lattice, normals) -> tuple[Vec, ...]:
-    """A minimal normal subset cutting out the same cone."""
-    cone = cone_from_inequalities(lat, normals)
-    if cone.pointed and cone.full_dim:
-        return cone.normals
-    kept = [primitive_ray(as_vector(n, lat.rank, "cone normal")) for n in normals]
-    kept = list(dict.fromkeys(kept))
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1 :]
-        probe = cone_from_inequalities(lat, trial) if trial else None
-        same = (
-            probe is not None
-            and probe.rays == cone.rays
-            and probe.lineality == cone.lineality
-        )
-        if not trial:
-            same = not cone.normals
-        if same:
-            kept.pop(i)
-        else:
-            i += 1
+    """A minimal normal subset cutting out the same cone.
+
+    For a full-dimensional cone that is its facet set, which is unique.  A
+    lower-dimensional cone has no unique one: each normal that the others
+    imply is dropped in turn, in input order.
+    """
+    dd, kept = _described(lat, normals)
+    if dd.cone(kept).full_dim:
+        return dd.facets()
+    for n in list(kept):
+        others = DoubleDescription(lat)
+        others.add(m for m in kept if m != n)
+        if not others.add([n]):
+            kept.remove(n)
     return tuple(sorted(kept))
 
 

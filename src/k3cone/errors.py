@@ -104,6 +104,10 @@ class CoverageFailure(GeometryError):
         )
 
 
+class BrokenInvariant(GeometryError):
+    """A property the theory guarantees failed: a bug in k3cone, not bad input."""
+
+
 class ProblemFormatError(GeometryError):
     """A problem file failed to parse; ``where`` locates the offending field."""
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     BadPrime,
+    BrokenInvariant,
     DegenerateBasis,
     DimensionMismatch,
     GeneratorRejected,
@@ -160,7 +161,8 @@ def project_to_nef_group(lat: Lattice, ample, matrix):
     image = g.apply(ample)
     endpoint, word = walk_to_nef(lat, ample, image)
     gamma = word_isometry(lat, word).compose(g)
-    assert gamma.apply(ample) == endpoint, "projection lost the walk endpoint"
+    if gamma.apply(ample) != endpoint:
+        raise BrokenInvariant("projection lost the walk endpoint")
     return gamma, word
 
 

@@ -12,6 +12,7 @@ import json
 from importlib import resources
 
 from .cones import RationalCone
+from .errors import BrokenInvariant
 from .orbits import OrbitTable
 from .sterk import FundamentalCertificate, SterkDomain
 from .weyl import NefDescription
@@ -113,7 +114,9 @@ def fundamental_payload(cert: FundamentalCertificate) -> dict:
 
 
 def build_report(command, digest, results, certificates, warnings) -> dict:
-    assert all(isinstance(v, bool) for v in certificates.values())
+    for name, value in certificates.items():
+        if not isinstance(value, bool):
+            raise BrokenInvariant(f"certificate {name!r} is {value!r}, not a bool")
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,

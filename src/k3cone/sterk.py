@@ -29,7 +29,7 @@ from .cones import (
     transform_cone,
 )
 from .enumeration import check_positive_closure
-from .errors import BoundExhausted, CoverageFailure, GeometryError
+from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, orbit_descend
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
 from .weyl import DOUBLING_CEILING, NefDescription, nef_test, nef_walls, walk_to_nef
@@ -112,7 +112,8 @@ def sterk_domain(
             diff = tuple(a - b for a, b in zip(h, ample))
             # reverse Cauchy-Schwarz: distinct same-norm points of one
             # component pair strictly above the norm, so H stays interior
-            assert lat.pairing(ample, diff) > 0, "orbit point at the ample degree"
+            if lat.pairing(ample, diff) <= 0:
+                raise BrokenInvariant(f"orbit point {h} at the ample degree")
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
         try:
             cone = cone_from_inequalities(

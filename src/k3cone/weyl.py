@@ -6,7 +6,12 @@ chamber reflects it across separating walls in the order the straight segment
 from the ample class crosses them; the degree drops by at least one per step,
 so a walk of degree ``d`` finishes in at most ``d`` reflections.
 
-Wall discovery runs a doubling search over root degree.  A candidate
+Wall discovery runs a doubling search over root degree, in the manner of
+Vinberg's algorithm (Vinberg 1972): one double description
+(``cones.DoubleDescription``) runs across all the doublings, and each doubling
+adds only the roots of degree in (previous bound, bound], in the degree order
+of the root stream, so the low-degree roots that tend to be walls come first
+and most later roots are dropped as implied without a step.  A candidate
 description is only reported as complete when it certifies itself:
 
 * every extreme ray of the cut-out cone lies in the closed positive cone and
@@ -14,9 +19,13 @@ description is only reported as complete when it certifies itself:
   bound), so the cone is contained in the chamber;
 * the chamber is always contained in the cone, being cut by fewer walls;
 
-hence equality, with no appeal to the search bound.  When rank is 2 and the
-form has rational isotropic directions those two boundary rays are added as
-inequalities, which is exactly the closed positive cone on that side.  A
+hence equality, with no appeal to the search bound.  The certificate depends
+on the cone alone, not on the bound, so it is re-run only after a doubling
+that kept a row: an unchanged cone would fail it the same way.  When
+certification runs out of doublings, the partial answer is the root facets
+of the same cone that have an exact witness.  When rank is 2 and the form
+has rational isotropic directions those two boundary rays are added first,
+as inequalities, which is exactly the closed positive cone on that side.  A
 rootless stretch that stays empty across one doubling is reported as a
 non-polyhedral chamber (round cone) with the bound on record -- that outcome
 is honest but not a certificate, and is flagged as such.
@@ -29,16 +38,15 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .cones import RationalCone, cone_from_inequalities, remove_redundant
+from .cones import DoubleDescription, RationalCone
 from .enumeration import (
     _root_stream,
     check_positive_closure,
     rational_isotropic_rays,
-    roots_up_to_degree,
     separating_degree_bound,
     separating_roots,
 )
-from .errors import GeometryError
+from .errors import BrokenInvariant, GeometryError
 from .lattice import (
     Isometry,
     Lattice,
@@ -90,7 +98,8 @@ def walk_to_nef(lat: Lattice, ample, x) -> tuple[Vec, tuple[Vec, ...]]:
         delta = min(seps, key=lambda d: (crossing(d), d))
         x = reflect_in_root(lat, delta, x)
         word.append(delta)
-        assert len(word) <= budget, "walk exceeded its degree budget"
+        if len(word) > budget:
+            raise BrokenInvariant(f"walk exceeded its degree budget of {budget} steps")
 
 
 def nef_test(lat: Lattice, ample, x) -> bool:
@@ -117,28 +126,22 @@ def _facet_witness(lat, ample, cone, wall):
             w = tuple(
                 sum(k * r[i] for k, r in zip(weights, tight)) for i in range(lat.rank)
             )
-        if lat.norm(w) <= 0 or lat.pairing(ample, w) <= 0:
+        if lat._pair(w, w) <= 0 or lat._pair(ample, w) <= 0:
             continue
-        if any(lat.pairing(w, n) <= 0 for n in others):
+        if any(lat._pair(w, n) <= 0 for n in others):
             continue
-        # no other root may vanish at the witness; the separating bound at w
-        # limits the degree of any root through it, so the check is finite
+        # w must be nef and no other root may vanish at it; the separating
+        # bound at w limits the degree of any root through or across it
         bound = separating_degree_bound(lat, ample, w)
         gw, roots = lat._dual(w), _root_stream(lat, ample, bound)
-        if any(sum(map(mul, d, gw)) == 0 and d != wall for d in roots):
-            continue
-        if nef_test(lat, ample, w):
+        pairings = (sum(map(mul, d, gw)) for d in roots)
+        if all(p > 0 or d == wall for d, p in zip(roots, pairings)):
             return w
     return None
 
 
-def _certified_description(lat, ample, bound, roots):
-    """Try to certify the chamber cut by the roots up to bound; None when not yet."""
-    iso = rational_isotropic_rays(lat, ample) if lat.rank == 2 else ()
-    normals = list(roots) + [e for e in iso if e not in roots]
-    if not normals:
-        return None
-    cone = cone_from_inequalities(lat, normals)
+def _certified_description(lat, ample, bound, cone):
+    """The certified chamber when the cone cut so far is it; None when not yet."""
     if not (cone.pointed and cone.full_dim):
         return None
     for r in cone.rays:
@@ -146,7 +149,7 @@ def _certified_description(lat, ample, bound, roots):
             return None
         if not nef_test(lat, ample, r):
             return None
-    walls = tuple(n for n in cone.normals if lat.norm(n) == -2)
+    walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
     witnesses = []
     for wall in walls:
         w = _facet_witness(lat, ample, cone, wall)
@@ -165,36 +168,26 @@ def _certified_description(lat, ample, bound, roots):
     )
 
 
-def _partial_description(lat, ample, bound, roots, stable):
-    """Best-effort wall subset when certification failed at the ceiling.
+def _partial_walls(lat, ample, facets, roots):
+    """The root facets with an exact witness when certification ran out.
 
-    Each reported wall still carries an exact witness (a nef interior point
-    of its facet relative to the known walls); only completeness of the list
-    is unknown, so the description is flagged incomplete and non-polyhedral.
+    The witness ``2H + (H.delta) delta`` is a positive-cone point of the
+    wall; it must pair positively with every other root found and be nef.
+    Only the completeness of the list is unknown.
     """
     walls, witnesses = [], []
-    if roots:
-        for delta in remove_redundant(lat, roots):
-            if lat.norm(delta) != -2:
-                continue
-            hd = lat.pairing(ample, delta)
-            w = tuple(2 * ample[i] + hd * delta[i] for i in range(lat.rank))
-            if any(
-                lat._pair(w, m) <= 0 for m in roots if m != delta
-            ) or not nef_test(lat, ample, w):
-                continue
+    for delta in facets:
+        if lat._pair(delta, delta) != -2:
+            continue
+        hd = lat._pair(ample, delta)
+        w = tuple(2 * ample[i] + hd * delta[i] for i in range(lat.rank))
+        gw = lat._dual(w)
+        if any(sum(map(mul, m, gw)) <= 0 for m in roots if m != delta):
+            continue
+        if nef_test(lat, ample, w):
             walls.append(delta)
             witnesses.append((delta, w))
-    return NefDescription(
-        walls=tuple(sorted(walls)),
-        rays=(),
-        polyhedral=False,
-        complete=False,
-        stable=stable,
-        certification_bound=bound,
-        witnesses=tuple(witnesses),
-        cone=None,
-    )
+    return tuple(walls), tuple(witnesses)
 
 
 def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription:
@@ -202,7 +195,9 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
 
     Starts at twice the ample self-pairing and doubles until the description
     certifies itself, or a rootless bound survives one doubling (reported as
-    a round chamber), or the doubling ceiling is hit (partial result).
+    a round chamber), or the doubling ceiling is hit (partial result).  One
+    double description runs across the doublings; each adds only the roots
+    of degree in (previous bound, bound], in degree order.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if lat.pairing(ample, ample) <= 0:
@@ -211,13 +206,18 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     bound = ROOT_BOUND_FACTOR * lat.norm(ample)
-    previous_roots = None
-    for _ in range(ceiling + 1):
-        roots = roots_up_to_degree(lat, ample, bound)
-        certified = _certified_description(lat, ample, bound, roots)
-        if certified is not None:
-            return certified
-        if not roots and previous_roots == ():
+    iso = rational_isotropic_rays(lat, ample) if lat.rank == 2 else ()
+    dd, roots = DoubleDescription(lat), []
+    for step in range(ceiling + 1):
+        fed, roots = len(roots), _root_stream(lat, ample, bound)
+        batch = roots[fed:] if step else [*iso, *roots]
+        # certification depends on the cone alone, so a doubling that keeps
+        # no row would fail it again the same way
+        if dd.add(batch) and not dd.lineality:
+            certified = _certified_description(lat, ample, bound, dd.cone())
+            if certified is not None:
+                return certified
+        if not roots and step > 0:
             return NefDescription(
                 walls=(),
                 rays=(),
@@ -228,8 +228,17 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
                 witnesses=(),
                 cone=None,
             )
-        previous_roots = roots
         bound *= 2
     final = bound // 2  # the last bound actually searched
-    stable = all(lat._pair(ample, r) <= final // 2 for r in roots)
-    return _partial_description(lat, ample, final, roots, stable=stable)
+    stable = not roots or lat._pair(ample, roots[-1]) <= final // 2
+    walls, witnesses = _partial_walls(lat, ample, dd.facets(), roots)
+    return NefDescription(
+        walls=walls,
+        rays=(),
+        polyhedral=False,
+        complete=False,
+        stable=stable,
+        certification_bound=final,
+        witnesses=witnesses,
+        cone=None,
+    )

@@ -1,20 +1,34 @@
 """Chamber walks and certified wall discovery."""
 
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from k3cone import (
     GeometryError,
     Lattice,
+    cone_from_inequalities,
     nef_test,
     nef_walls,
+    roots_up_to_degree,
     walk_to_nef,
     word_isometry,
 )
 
-from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GRAM_P, GRAM_R, GRAM_U, random_even_hyperbolic
+from conftest import (
+    AMPLE_P,
+    AMPLE_R,
+    AMPLE_U,
+    GRAM_P,
+    GRAM_R,
+    GRAM_U,
+    PROBLEMS,
+    random_even_hyperbolic,
+)
 
 # rank-3 worked example: U + <-2>, ample chosen off every wall
 GRAM_3 = ((0, 1, 0), (1, 0, 0), (0, 0, -2))
@@ -154,6 +168,67 @@ def test_nef_walls_match_discrete_chamber_oracle():
         nef = nef_walls(Lattice(gram), ample)
         assert sorted(nef.walls) == sorted(walls)
         assert tuple(sorted(nef.rays)) == extremes
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_nef_walls_match_discrete_chamber_oracle_on_random_rank2(seed):
+    """Certified rank-2 chambers whose walls and rays fit the oracle's box."""
+    box = 20
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank=2)
+    roots, walls, extremes = O.chamber_2d(lat.gram, ample, box)
+    assume(roots)
+    nef = nef_walls(lat, ample, ceiling=3)
+    assume(nef.complete)
+    assume(all(abs(c) <= box for v in nef.walls + nef.rays for c in v))
+    assert sorted(nef.walls) == sorted(walls)
+    assert nef.rays == extremes
+
+
+def _ua(k):
+    """Gram matrix of U + A1^k."""
+    n = 2 + k
+    return tuple(
+        tuple(1 if {i, j} == {0, 1} else (-2 if i == j >= 2 else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _assert_incremental_equals_batch(lat, ample, nef):
+    batch = cone_from_inequalities(
+        lat, roots_up_to_degree(lat, ample, nef.certification_bound)
+    )
+    assert nef.cone.rays == batch.rays
+    assert nef.cone.normals == batch.normals
+    assert nef.cone.lineality == batch.lineality == ()
+
+
+def _rank5_fixture():
+    data = json.loads((PROBLEMS / "rank5_supersingular.json").read_text())
+    return tuple(map(tuple, data["gram"])), tuple(data["ample"])
+
+
+@pytest.mark.parametrize(
+    "gram,ample",
+    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3)] + [_rank5_fixture()],
+    ids=["UA1", "UA1^2", "UA1^3", "rank5"],
+)
+def test_incremental_walls_equal_batch_double_description(gram, ample):
+    """The doublings fed in degree order cut the cone one batch DD cuts."""
+    lat = Lattice(gram)
+    nef = nef_walls(lat, ample)
+    assert nef.complete
+    _assert_incremental_equals_batch(lat, ample, nef)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(3, 4), spread=st.integers(2, 3))
+def test_incremental_walls_equal_batch_on_random_lattices(seed, rank, spread):
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank=rank, spread=spread)
+    # higher ceilings on random rank-4 bases can spend seconds enumerating
+    nef = nef_walls(lat, ample, ceiling=3 if rank == 3 else 1)
+    assume(nef.complete)
+    _assert_incremental_equals_batch(lat, ample, nef)
 
 
 def test_wall_witnesses_lie_on_their_facets():
