@@ -198,20 +198,30 @@ def _cmd_sterk(problem: Problem, args):
 
 def _cmd_reduce(problem: Problem, args):
     x = _parse_class(args.cls, problem.lattice.rank)
-    domain = _domain(problem)
     warnings = []
-    certificates = {"saturated": domain.saturated, "in_domain": True}
     try:
-        endpoint, reflections, word = reduce_to_domain(
-            problem.lattice, problem.ample, problem.group, domain, x
-        )
-    except CoverageFailure as e:
-        endpoint, reflections, word = e.reduced, (), ()
-        certificates["in_domain"] = False
-        warnings.append(
-            "the reduced point missed the domain; the generators do not "
-            "exhibit it as fundamental at this bound"
-        )
+        domain = _domain(problem)
+    except BoundExhausted as e:
+        domain = e.partial
+        warnings.append(str(e))
+    if domain is None:
+        # no domain to reduce into: report how far the chamber walk gets
+        endpoint, reflections = walk_to_nef(problem.lattice, problem.ample, x)
+        word = ()
+        certificates = {"saturated": False, "in_domain": False}
+    else:
+        certificates = {"saturated": domain.saturated, "in_domain": True}
+        try:
+            endpoint, reflections, word = reduce_to_domain(
+                problem.lattice, problem.ample, problem.group, domain, x
+            )
+        except CoverageFailure as e:
+            endpoint, reflections, word = e.reduced, (), ()
+            certificates["in_domain"] = False
+            warnings.append(
+                "the reduced point missed the domain; the generators do not "
+                "exhibit it as fundamental at this bound"
+            )
     results = {
         "start": rpt.encode(x),
         "endpoint": rpt.encode(endpoint),

@@ -231,8 +231,13 @@ def _canonical_lineality(lin):
     return tuple(sorted(out))
 
 
-def _described(lat: Lattice, normals) -> tuple[DoubleDescription, list[Vec]]:
-    """Validate and deduplicate normals, then run double description over them."""
+def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
+    """The cone {x : x . n >= 0 for every normal n}.
+
+    Stored normals are the irredundant facet set when the result is pointed
+    and full-dimensional, the deduplicated input otherwise.  No normals at
+    all yields the full space, flagged via ``is_full_space``.
+    """
     seen: dict[Vec, None] = {}
     for n in normals:
         v = as_vector(n, lat.rank, "cone normal")
@@ -241,17 +246,6 @@ def _described(lat: Lattice, normals) -> tuple[DoubleDescription, list[Vec]]:
         seen[primitive_ray(v)] = None
     dd = DoubleDescription(lat)
     dd.add(seen)
-    return dd, list(seen)
-
-
-def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
-    """The cone {x : x . n >= 0 for every normal n}.
-
-    Stored normals are the irredundant facet set when the result is pointed
-    and full-dimensional, the deduplicated input otherwise.  No normals at
-    all yields the full space, flagged via ``is_full_space``.
-    """
-    dd, seen = _described(lat, normals)
     return dd.cone(seen)
 
 
@@ -259,24 +253,6 @@ def contains(lat: Lattice, cone: RationalCone, x) -> bool:
     """Membership in the closed cone (boundary included)."""
     x = as_vector(x, lat.rank)
     return all(lat.pairing(x, n) >= 0 for n in cone.normals)
-
-
-def remove_redundant(lat: Lattice, normals) -> tuple[Vec, ...]:
-    """A minimal normal subset cutting out the same cone.
-
-    For a full-dimensional cone that is its facet set, which is unique.  A
-    lower-dimensional cone has no unique one: each normal that the others
-    imply is dropped in turn, in input order.
-    """
-    dd, kept = _described(lat, normals)
-    if dd.cone(kept).full_dim:
-        return dd.facets()
-    for n in list(kept):
-        others = DoubleDescription(lat)
-        others.add(m for m in kept if m != n)
-        if not others.add([n]):
-            kept.remove(n)
-    return tuple(sorted(kept))
 
 
 def intersection(lat: Lattice, a: RationalCone, b: RationalCone) -> RationalCone:

@@ -1,10 +1,7 @@
 """Chamber-preserving isometry groups and the mod-p subspace filter.
 
 Generators are integer matrices that preserve the pairing, keep the ample
-component, and map the ample chamber into itself.  ``project_to_nef_group``
-upgrades an arbitrary isometry of the right component into such an element by
-composing with the reflection word that walks its image of the ample class
-back into the chamber.
+component, and map the ample chamber into itself.
 
 Generator verification does not discover walls itself: the caller passes the
 chamber's ``NefDescription`` (a problem file passes the one it computes at its
@@ -19,20 +16,18 @@ membership are decided by one rank computation over F_p.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
     BadPrime,
-    BrokenInvariant,
     DegenerateBasis,
     DimensionMismatch,
     GeneratorRejected,
     NotAnIsometry,
 )
 from .lattice import Isometry, Lattice, Mat, Vec, as_vector
-from .weyl import NefDescription, nef_test, walk_to_nef, word_isometry
+from .weyl import NefDescription, nef_test
 
 
 @dataclass(frozen=True)
@@ -150,22 +145,6 @@ def orbit_descend(
         word.append(idx)
 
 
-def project_to_nef_group(lat: Lattice, ample, matrix):
-    """Compose an isometry with a reflection word to fix the ample chamber.
-
-    Returns ``(gamma, word)`` where gamma = (reflections of word) o g sends
-    the ample class into the open chamber; gamma then preserves the chamber.
-    """
-    ample = as_vector(ample, lat.rank, "ample class")
-    g = Isometry(lat, tuple(tuple(int(x) for x in row) for row in matrix))
-    image = g.apply(ample)
-    endpoint, word = walk_to_nef(lat, ample, image)
-    gamma = word_isometry(lat, word).compose(g)
-    if gamma.apply(ample) != endpoint:
-        raise BrokenInvariant("projection lost the walk endpoint")
-    return gamma, word
-
-
 # ---------------------------------------------------------------------------
 # mod-p subspace filter
 
@@ -246,59 +225,3 @@ def filter_preserving_K(
     """
     return tuple(g for g in group.gens if preserves_K(lat, datum, g.matrix))
 
-
-# ---------------------------------------------------------------------------
-# bounded brute-force generator search
-
-
-def search_isometries(lat: Lattice, max_entry: int) -> tuple[Mat, ...]:
-    """All pairing-preserving integer matrices with entries in [-M, M].
-
-    Column-by-column backtracking: column j must have the Gram diagonal norm
-    and the prescribed pairings with the earlier columns.  Practical for
-    rank 2 and small bounds; that is all the built-in search is for.
-    """
-    n = lat.rank
-    span = range(-max_entry, max_entry + 1)
-    pool = [tuple(v) for v in itertools.product(span, repeat=n)]
-    by_norm: dict[int, list[Vec]] = {}
-    for v in pool:
-        by_norm.setdefault(lat.norm(v), []).append(v)
-    out: list[Mat] = []
-
-    def backtrack(cols):
-        j = len(cols)
-        if j == n:
-            out.append(tuple(tuple(col[i] for col in cols) for i in range(n)))
-            return
-        for v in by_norm.get(lat.gram[j][j], ()):
-            if all(lat.pairing(cols[i], v) == lat.gram[i][j] for i in range(j)):
-                backtrack(cols + [v])
-
-    backtrack([])
-    return tuple(out)
-
-
-def search_nef_generators(
-    lat: Lattice, ample, max_entry: int, limit: int = 16
-) -> tuple[Mat, ...]:
-    """Chamber-preserving group elements found by bounded matrix search.
-
-    Every isometry in the box is flipped into the ample component if needed,
-    projected into the chamber-preserving group, and deduplicated; reflections
-    project to the identity and drop out, so what remains generates fresh
-    chamber symmetries.  Returns at most ``limit`` matrices, sorted.
-    """
-    ample = as_vector(ample, lat.rank, "ample class")
-    seen: set[Mat] = set()
-    for m in search_isometries(lat, max_entry):
-        g = Isometry(lat, m)
-        if lat.pairing(g.apply(ample), ample) < 0:
-            g = Isometry(lat, tuple(tuple(-x for x in row) for row in m))
-        gamma, _ = project_to_nef_group(lat, ample, g.matrix)
-        if gamma.is_identity():
-            continue
-        seen.add(gamma.matrix)
-        if len(seen) >= limit:
-            break
-    return tuple(sorted(seen))

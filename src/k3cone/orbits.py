@@ -73,7 +73,6 @@ def _ball(lat: Lattice, group: GroupGenerators, x: Vec, depth: int) -> set[Vec]:
 def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list:
     """Union reduced representatives identified by a bounded word ball."""
     reps = sorted(reduced)
-    balls = {r: _ball(lat, group, r, MERGE_DEPTH) for r in reps}
     parent = {r: r for r in reps}
 
     def find(r):
@@ -82,11 +81,12 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
             r = parent[r]
         return r
 
-    for a, b in itertools.combinations(reps, 2):
-        if b in balls[a] or a in balls[b]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+    # a and b are joined when either lies in the other's ball; the partition
+    # depends only on that edge set, so one pass over each ball finds it
+    for r in reps:
+        for y in _ball(lat, group, r, MERGE_DEPTH):
+            if y in parent:
+                parent[find(y)] = find(r)
     groups: dict[Vec, list[Vec]] = {}
     for r in reps:
         groups.setdefault(find(r), []).append(r)
@@ -141,31 +141,34 @@ def nodal_orbits(
     )
 
 
-def _reduced_table(lat: Lattice, ample, group, domain, genus, bound: int) -> tuple:
-    """Reduced orbits of the norm 2g-2 classes (primitive isotropic ones when
-    genus is None) up to the degree bound."""
-    if genus is None:
-        classes = isotropics_up_to_degree(lat, ample, bound)
-    else:
-        classes = classes_up_to_degree(lat, ample, 2 * genus - 2, bound)
-    reduced: dict[Vec, list] = {}
-    for x in classes:
-        z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
-        reduced.setdefault(z, []).append((x, reflections, word))
-    return tuple(_merge_classes(lat, ample, group, reduced))
-
-
 def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
-    """The table up to the degree bound, stable when doubling it adds no orbit."""
+    """The table up to the degree bound, stable when doubling it adds no orbit.
+
+    The norm 2g-2 classes (primitive isotropic ones when genus is None) are
+    reduced once, up to twice the bound.  The bound's table merges the
+    sources of degree <= bound, in lex order; the doubled table only supplies
+    the representative set that decides stability.
+    """
     ample = as_vector(ample, lat.rank, "ample class")
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
     if bound < 0:
         raise UnboundedQuery("the degree bound must be non-negative")
-    entries = _reduced_table(lat, ample, group, domain, genus, bound)
-    doubled = _reduced_table(lat, ample, group, domain, genus, 2 * bound)
+    if genus is None:
+        classes = isotropics_up_to_degree(lat, ample, 2 * bound)
+    else:
+        classes = classes_up_to_degree(lat, ample, 2 * genus - 2, 2 * bound)
+    low, doubled = {}, {}
+    # the sources of degree <= bound go first, so a class that misses the
+    # domain is the one the bound's table alone would have met first
+    for x in sorted(classes, key=lambda x: lat.pairing(ample, x) > bound):
+        z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
+        doubled.setdefault(z, []).append((x, reflections, word))
+        if lat.pairing(ample, x) <= bound:
+            low.setdefault(z, []).append((x, reflections, word))
+    entries = tuple(_merge_classes(lat, ample, group, low))
     stable = {e.representative for e in entries} == {
-        e.representative for e in doubled
+        e.representative for e in _merge_classes(lat, ample, group, doubled)
     }
     return OrbitTable(kind, genus, entries, bound, stable)
 

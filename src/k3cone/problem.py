@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GeometryError, ProblemFormatError
@@ -49,7 +49,6 @@ class Problem:
     bounds: Bounds
     ceiling: int  # the resolved doubling ceiling
     digest: str
-    raw: dict = field(repr=False)
 
     @cached_property
     def nef(self) -> NefDescription:
@@ -215,7 +214,6 @@ def parse_problem(data) -> Problem:
         bounds=bounds,
         ceiling=_resolve_ceiling(bounds),
         digest=digest,
-        raw=data,
     )
     try:
         problem.group  # verify the generators now, so errors are located here

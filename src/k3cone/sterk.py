@@ -32,7 +32,7 @@ from .enumeration import check_positive_closure
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, orbit_descend
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
-from .weyl import DOUBLING_CEILING, NefDescription, nef_test, nef_walls, walk_to_nef
+from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
 
 ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
 
@@ -92,13 +92,11 @@ def sterk_domain(
     lat: Lattice,
     ample,
     group: GroupGenerators,
-    nef: NefDescription | None = None,
+    nef: NefDescription,
     bound: int | None = None,
     ceiling: int = DOUBLING_CEILING,
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
-    if nef is None:
-        nef = nef_walls(lat, ample, ceiling=ceiling)
     chamber = _chamber_normals(nef)
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)

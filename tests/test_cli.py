@@ -155,6 +155,21 @@ def test_reduce(capsys):
     assert rep["certificates"] == {"in_domain": True, "saturated": True}
 
 
+def test_reduce_without_a_domain_exits_2(tmp_path, capsys):
+    """With no generators the round L_R chamber never stabilizes a domain:
+    reduce reports the chamber walk as bound-limited, as sterk does."""
+    prob = tmp_path / "r.json"
+    prob.write_text(json.dumps({"rank": 2, "gram": [[2, 7], [7, 2]], "ample": [1, 1]}))
+    code, rep = run_valid(capsys, "reduce", str(prob), "--class=1,3")
+    assert code == 2
+    assert rep["results"]["endpoint"] == ["1", "3"]
+    assert rep["results"]["word"] == []
+    assert rep["certificates"] == {"in_domain": False, "saturated": False}
+    assert rep["warnings"] == [
+        "the orbit bound hit the doubling ceiling before the domain stabilized"
+    ]
+
+
 def test_orbits_nodal(capsys):
     code, rep = run_valid(capsys, "orbits", L_P, "--kind", "nodal")
     assert code == 0

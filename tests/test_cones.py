@@ -13,7 +13,6 @@ from k3cone import (
     contains,
     interiors_disjoint,
     intersection,
-    remove_redundant,
     transform_cone,
 )
 
@@ -86,13 +85,6 @@ def test_intersection():
     face = intersection(lat, chamber, cone_from_inequalities(lat, [(-2, -3)]))
     assert face.rays == ((3, 4),)
     assert face.dimension() == 1
-
-
-def test_remove_redundant_drops_implied_normals():
-    lat = Lattice(GRAM_P)
-    # (1, 0) and the scaled copy (4, 6) are implied by the two walls
-    kept = remove_redundant(lat, [(0, -1), (2, 3), (1, 0), (4, 6)])
-    assert kept == ((0, -1), (2, 3))
 
 
 def test_normals_rejected_on_wrong_rank():

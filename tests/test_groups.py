@@ -17,9 +17,6 @@ from k3cone import (
     nef_walls,
     orbit_descend,
     preserves_K,
-    project_to_nef_group,
-    search_isometries,
-    search_nef_generators,
     verify_generator,
 )
 
@@ -125,28 +122,6 @@ def test_orbit_descend_word_replays(latP):
             assert latP.pairing(AMPLE_P, O.apply_matrix(m, end)) >= latP.pairing(AMPLE_P, end)
 
 
-def test_project_to_nef_group_desk_value(latP):
-    iso, word = project_to_nef_group(latP, AMPLE_P, ((3, 2), (4, 3)))
-    assert iso.matrix == GAMMA_P
-    assert word == ((2, 3),)
-    assert iso.apply(AMPLE_P) == walk_fixed_point(latP, iso, AMPLE_P)
-
-
-def walk_fixed_point(lat, iso, ample):
-    """The image of H under a chamber-preserving isometry is H's chamber walk target."""
-    image = iso.apply(ample)
-    from k3cone import nef_test
-
-    assert nef_test(lat, ample, image)
-    return image
-
-
-def test_project_already_nef_is_identity_word(latP):
-    iso, word = project_to_nef_group(latP, AMPLE_P, GAMMA_P)
-    assert iso.matrix == GAMMA_P
-    assert word == ()
-
-
 # ---------------------------------------------------------------- supersingular filter
 
 
@@ -207,26 +182,3 @@ def test_kept_elements_closed_under_inverse(latR):
     kept = {g.matrix for g in filter_preserving_K(latR, grp, datum)}
     for g in filter_preserving_K(latR, grp, datum):
         assert preserves_K(latR, datum, g.inverse().matrix)
-
-
-# ---------------------------------------------------------------- discovery searches
-
-
-def test_search_isometries_P(latP):
-    mats = search_isometries(latP, 4)
-    assert len(mats) == 12
-    assert ((1, 0), (0, 1)) in mats
-    assert ((-1, 0), (0, -1)) in mats
-    assert GAMMA_P in mats
-    for m in mats:
-        Isometry(latP, m)  # raises if any fails w^T G w = G
-
-
-def test_search_nef_generators_desk_values(latP, latR):
-    assert search_nef_generators(latP, AMPLE_P, 4) == (GAMMA_P,)
-    assert search_nef_generators(Lattice(GRAM_U), AMPLE_U, 2) == ()
-    found = search_nef_generators(latR, AMPLE_R, 7)
-    assert G_R in found and SWAP in found
-    assert len(found) == 5
-    for m in found:
-        assert verify_generator(latR, AMPLE_R, m).ok
