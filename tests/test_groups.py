@@ -18,6 +18,8 @@ from k3cone import (
     orbit_descend,
     preserves_K,
     verify_generator,
+    walk_to_nef,
+    word_isometry,
 )
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
@@ -120,6 +122,16 @@ def test_orbit_descend_word_replays(latP):
         # endpoint is a local minimum: no generator lowers the degree further
         for m in mats:
             assert latP.pairing(AMPLE_P, O.apply_matrix(m, end)) >= latP.pairing(AMPLE_P, end)
+
+
+def test_project_already_nef_is_identity_word(latP):
+    # A chamber-preserving isometry sends H into the ample chamber, so the
+    # reflection walk from its image is empty and leaves the isometry as is.
+    g = Isometry(latP, GAMMA_P)
+    end, word = walk_to_nef(latP, AMPLE_P, g.apply(AMPLE_P))
+    assert word == ()
+    assert end == g.apply(AMPLE_P)
+    assert word_isometry(latP, word).compose(g).matrix == GAMMA_P
 
 
 # ---------------------------------------------------------------- supersingular filter
