@@ -13,11 +13,12 @@ scanned up to -- which degree-bounded queries extend past that mark and slice.
 The same completeness argument powers ``separating_roots``: a root delta with
 ``delta.H > 0 > delta.x`` vanishes somewhere on the segment [H, x], and at a
 point ``u`` of positive norm Cauchy-Schwarz inside ``u-perp`` bounds the
-degree of delta by ``(delta.H)^2 <= 2((H.u)^2/u^2 - H^2)``.  Maximizing that
-rational function over the segment is exact: the derivative numerator is
-linear in the segment parameter, so one interior critical point plus the two
-endpoints decide the maximum.  For isotropic x the same inequality collapses
-to the closed bound ``delta.H <= x.H``.
+degree of delta by ``(delta.H)^2 <= 2((H.u)^2/u^2 - H^2)``.  That rational
+function of the segment parameter s never decreases: the linear factor of its
+derivative's numerator is ``2 s ((x.H)^2 - H^2 x^2)``, which reverse
+Cauchy-Schwarz makes non-negative.  So its maximum is at x, and the bound is
+the integer ``isqrt(floor(2((x.H)^2 - H^2 x^2) / x^2))``.  For isotropic x the
+same inequality collapses to the closed bound ``delta.H <= x.H``.
 """
 
 from __future__ import annotations
@@ -197,19 +198,9 @@ def separating_degree_bound(lat: Lattice, ample, x) -> int:
     x2 = lat.norm(x)
     if x2 == 0:
         return hx
-    # f(s) = (H.u)^2 / u^2 = N(s)^2 / D(s) along u = (1-s) H + s x, with
-    # N = n0 + n1 s and D = d0 + d1 s + d2 s^2; maximize exactly
-    n0, n1 = h2, hx - h2
-    d0, d1, d2 = h2, 2 * (hx - h2), h2 - 2 * hx + x2
-    candidates = [Fraction(0), Fraction(1)]
-    # numerator of f' is N (2 N' D - N D'); the second factor is linear in s
-    p0 = 2 * n1 * d0 - n0 * d1
-    p1 = 2 * n1 * d1 - n0 * 2 * d2 - n1 * d1
-    s = Fraction(-p0, p1) if p1 != 0 else Fraction(0)
-    if 0 < s < 1 and d0 + d1 * s + d2 * s * s > 0:
-        candidates.append(s)
-    best = max((n0 + n1 * s) ** 2 / (d0 + d1 * s + d2 * s * s) for s in candidates)
-    return linalg.floor_sqrt(2 * (best - h2))
+    # (H.u)^2 / u^2 grows along u = (1-s) H + s x, so its maximum is at x;
+    # reverse Cauchy-Schwarz makes hx^2 >= h2 x2
+    return isqrt(2 * (hx * hx - h2 * x2) // x2)
 
 
 def separating_roots(lat: Lattice, ample, x) -> tuple[Vec, ...]:

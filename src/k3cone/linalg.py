@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import GeometryError, NotUnimodular
+from .errors import NotUnimodular
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -170,10 +170,3 @@ def split_linear_form(c):
         cols[0] = [-x for x in cols[0]]
     return c[0], tuple(tuple(col) for col in cols)
 
-
-def floor_sqrt(value: Fraction) -> int:
-    """floor(sqrt(p/q)) for a non-negative fraction, exactly."""
-    if value < 0:
-        raise GeometryError(f"square root of the negative number {value}")
-    p, q = value.numerator, value.denominator
-    return math.isqrt(p * q) // q

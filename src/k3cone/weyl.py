@@ -6,29 +6,33 @@ chamber reflects it across separating walls in the order the straight segment
 from the ample class crosses them; the degree drops by at least one per step,
 so a walk of degree ``d`` finishes in at most ``d`` reflections.
 
-Wall discovery runs a doubling search over root degree, in the manner of
-Vinberg's algorithm (Vinberg 1972): one double description
-(``cones.DoubleDescription``) runs across all the doublings, and each doubling
-adds only the roots of degree in (previous bound, bound], in the degree order
-of the root stream, so the low-degree roots that tend to be walls come first
-and most later roots are dropped as implied without a step.  A candidate
-description is only reported as complete when it certifies itself:
+Wall discovery runs one loop over root-degree marks, in the manner of
+Vinberg's algorithm (Vinberg 1972): the powers of two below the first bound
+``2 H^2``, then that bound and its doublings.  One double description
+(``cones.DoubleDescription``) runs across all the marks, and each mark adds
+only the roots of degree in (previous mark, mark], in the degree order of the
+root stream, so the low-degree roots that tend to be walls come first and most
+later roots are dropped as implied without a step.  A candidate description is
+only reported as complete when it certifies itself:
 
 * every extreme ray of the cut-out cone lies in the closed positive cone and
   passes ``nef_test`` (whose separating search carries its own completeness
   bound), so the cone is contained in the chamber;
 * the chamber is always contained in the cone, being cut by fewer walls;
 
-hence equality, with no appeal to the search bound.  The certificate depends
-on the cone alone, not on the bound, so it is re-run only after a doubling
-that kept a row: an unchanged cone would fail it the same way.  When
-certification runs out of doublings, the partial answer is the root facets
-of the same cone that have an exact witness.  When rank is 2 and the form
-has rational isotropic directions those two boundary rays are added first,
-as inequalities, which is exactly the closed positive cone on that side.  A
-rootless stretch that stays empty across one doubling is reported as a
-non-polyhedral chamber (round cone) with the bound on record -- that outcome
-is honest but not a certificate, and is flagged as such.
+hence equality, with no appeal to the search bound.  A certified cone is the
+chamber, so it implies every root of every degree, and a chamber certified
+from a short root prefix is the one the first bound would certify; it is
+reported with that bound, as if the prefix had reached it.  The certificate
+depends on the cone alone, so it is re-run only when the cone has changed
+since the last attempt: an unchanged cone would fail it the same way.  When
+certification runs out of doublings, the partial answer is the root facets of
+the same cone that have an exact witness.  When rank is 2 and the form has
+rational isotropic directions those two boundary rays are added first, as
+inequalities, which is exactly the closed positive cone on that side.  A
+rootless stretch from the first bound that stays empty across one doubling is
+reported as a non-polyhedral chamber (round cone) with the bound on record --
+that outcome is honest but not a certificate, and is flagged as such.
 """
 
 from __future__ import annotations
@@ -144,11 +148,12 @@ def _certified_description(lat, ample, bound, cone):
     """The certified chamber when the cone cut so far is it; None when not yet."""
     if not (cone.pointed and cone.full_dim):
         return None
-    for r in cone.rays:
-        if lat._pair(r, r) < 0 or lat._pair(ample, r) <= 0:
-            return None
-        if not nef_test(lat, ample, r):
-            return None
+    # the cheap positive-cone test first: a cone cut by a short root prefix
+    # often pokes out of it, and then no ray needs a separating search
+    if any(lat._pair(r, r) < 0 or lat._pair(ample, r) <= 0 for r in cone.rays):
+        return None
+    if not all(nef_test(lat, ample, r) for r in cone.rays):
+        return None
     walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
     witnesses = []
     for wall in walls:
@@ -190,14 +195,28 @@ def _partial_walls(lat, ample, facets, roots):
     return tuple(walls), tuple(witnesses)
 
 
-def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription:
-    """Discover the chamber walls by doubling the root-degree bound.
+def _degree_marks(first: int, ceiling: int):
+    """The powers of two below ``first``, then ``first * 2**step`` for each step."""
+    mark = 1
+    while mark < first:
+        yield mark
+        mark *= 2
+    for step in range(ceiling + 1):
+        yield first << step
 
-    Starts at twice the ample self-pairing and doubles until the description
-    certifies itself, or a rootless bound survives one doubling (reported as
-    a round chamber), or the doubling ceiling is hit (partial result).  One
-    double description runs across the doublings; each adds only the roots
-    of degree in (previous bound, bound], in degree order.
+
+def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription:
+    """Discover the chamber walls over doubling root-degree marks.
+
+    The marks are 1, 2, 4, ... below the first bound ``2 H^2``, then the
+    first bound and ``ceiling`` doublings of it.  One double description runs
+    across them; each mark adds only the roots of degree in (previous mark,
+    mark], in degree order, and the cone is certified whenever it changed
+    since the last attempt.  A certified cone is the chamber whatever the
+    mark, so it is reported with the larger of the mark and the first bound.
+    From the first bound on, a rootless bound that survives one doubling is
+    reported as a round chamber, and the last mark ends the search with the
+    partial result.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if lat.pairing(ample, ample) <= 0:
@@ -205,19 +224,19 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     ceiling = DOUBLING_CEILING if ceiling is None else ceiling
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
-    bound = ROOT_BOUND_FACTOR * lat.norm(ample)
-    iso = rational_isotropic_rays(lat, ample) if lat.rank == 2 else ()
+    first = ROOT_BOUND_FACTOR * lat.norm(ample)
     dd, roots = DoubleDescription(lat), []
-    for step in range(ceiling + 1):
+    # certification depends on the cone alone, so it waits for a changed cone
+    dirty = lat.rank == 2 and dd.add(rational_isotropic_rays(lat, ample)) > 0
+    for bound in _degree_marks(first, ceiling):
         fed, roots = len(roots), _root_stream(lat, ample, bound)
-        batch = roots[fed:] if step else [*iso, *roots]
-        # certification depends on the cone alone, so a doubling that keeps
-        # no row would fail it again the same way
-        if dd.add(batch) and not dd.lineality:
-            certified = _certified_description(lat, ample, bound, dd.cone())
+        dirty = dd.add(roots[fed:]) > 0 or dirty
+        if dirty and not dd.lineality:
+            dirty = False
+            certified = _certified_description(lat, ample, max(bound, first), dd.cone())
             if certified is not None:
                 return certified
-        if not roots and step > 0:
+        if not roots and bound > first:
             return NefDescription(
                 walls=(),
                 rays=(),
@@ -228,9 +247,7 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
                 witnesses=(),
                 cone=None,
             )
-        bound *= 2
-    final = bound // 2  # the last bound actually searched
-    stable = not roots or lat._pair(ample, roots[-1]) <= final // 2
+    stable = not roots or lat._pair(ample, roots[-1]) <= bound // 2
     walls, witnesses = _partial_walls(lat, ample, dd.facets(), roots)
     return NefDescription(
         walls=walls,
@@ -238,7 +255,7 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
         polyhedral=False,
         complete=False,
         stable=stable,
-        certification_bound=final,
+        certification_bound=bound,
         witnesses=witnesses,
         cone=None,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
@@ -121,6 +122,28 @@ def walk(gram, ample, x, box):
         x = tuple(x[i] + pairing(gram, x, d) * d[i] for i in range(len(x)))
         steps += 1
         assert steps <= 10_000, "oracle walk runaway"
+
+
+def separating_degree_bound(gram, ample, x):
+    """Reference separating degree bound, maximized over the segment in Fractions.
+
+    Along u = (1-s) H + s x, (H.u)^2 / u^2 = N(s)^2 / D(s); the maximum over
+    [0, 1] sits at an endpoint or at the one zero of 2 N' D - N D'.
+    """
+    h2, hx, x2 = norm(gram, ample), pairing(gram, ample, x), norm(gram, x)
+    if x2 == 0:
+        return hx
+    n0, n1 = h2, hx - h2
+    d0, d1, d2 = h2, 2 * (hx - h2), h2 - 2 * hx + x2
+    candidates = [Fraction(0), Fraction(1)]
+    p0 = 2 * n1 * d0 - n0 * d1
+    p1 = 2 * n1 * d1 - n0 * 2 * d2 - n1 * d1
+    s = Fraction(-p0, p1) if p1 != 0 else Fraction(0)
+    if 0 < s < 1 and d0 + d1 * s + d2 * s * s > 0:
+        candidates.append(s)
+    best = max((n0 + n1 * s) ** 2 / (d0 + d1 * s + d2 * s * s) for s in candidates)
+    value = 2 * (best - h2)
+    return math.isqrt(value.numerator * value.denominator) // value.denominator
 
 
 def _cross2(u, v):

@@ -341,6 +341,55 @@ def test_ceiling_env_governs_generator_verification(tmp_path):
     assert json.loads(done.stdout)["results"]["generators_verified"] == "1"
 
 
+def _arms(gram):
+    """Arm lengths of a tree-shaped simply-laced Coxeter diagram with one branch node.
+
+    ``gram`` is the pairing matrix of the walls: -2 on the diagonal, 1 on an
+    edge, 0 otherwise.  Returns None for any other shape.
+    """
+    n = len(gram)
+    if any(gram[i][i] != -2 for i in range(n)):
+        return None
+    if any(gram[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
+        return None
+    nbrs = [[j for j in range(n) if j != i and gram[i][j] == 1] for i in range(n)]
+    branch = [i for i in range(n) if len(nbrs[i]) == 3]
+    if sum(map(len, nbrs)) != 2 * (n - 1) or len(branch) != 1:
+        return None
+    arms = []
+    for start in nbrs[branch[0]]:
+        prev, node, length = branch[0], start, 1
+        while len(nbrs[node]) == 2:
+            prev, node = node, next(j for j in nbrs[node] if j != prev)
+            length += 1
+        if len(nbrs[node]) != 1:
+            return None
+        arms.append(length)
+    return sorted(arms) if 1 + sum(arms) == n else None
+
+
+def test_walls_on_u_e8_is_the_e10_diagram():
+    """U+E8(-1) at its Weyl vector certifies within seconds: the E10 = T(2,3,7) chamber."""
+    src = str(Path(k3cone.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.pop("K3CONE_CEILING", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a child process, so that a regression fails at the deadline instead of hanging
+    done = subprocess.run(
+        [sys.executable, "-m", "k3cone.cli", "walls", str(PROBLEMS / "u_e8.json")],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert rep["certificates"]["complete"] is True
+    walls = [tuple(map(int, w)) for w in rep["results"]["walls"]]
+    assert len(walls) == 10
+    lat = k3cone.Lattice(
+        tuple(map(tuple, json.loads((PROBLEMS / "u_e8.json").read_text())["gram"]))
+    )
+    assert _arms([[lat.pairing(a, b) for b in walls] for a in walls]) == [1, 2, 6]
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("walls", L_P), 1),
     (("sterk", L_R), 1),

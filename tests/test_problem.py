@@ -31,7 +31,7 @@ def make(**overrides):
 
 
 def test_fixture_files_parse(problems_dir):
-    for name in ("l_u.json", "l_p.json", "l_r.json", "rank5_supersingular.json"):
+    for name in ("l_u.json", "l_p.json", "l_r.json", "rank5_supersingular.json", "u_e8.json"):
         p = parse_problem(load(problems_dir, name))
         assert p.lattice.rank == len(p.ample)
         assert p.digest.startswith("sha256:")
@@ -55,7 +55,7 @@ def test_rank5_supersingular_block(problems_dir):
 
 
 def test_round_trip_every_fixture(problems_dir):
-    for name in ("l_u.json", "l_p.json", "l_r.json", "rank5_supersingular.json"):
+    for name in ("l_u.json", "l_p.json", "l_r.json", "rank5_supersingular.json", "u_e8.json"):
         p = parse_problem(load(problems_dir, name))
         p2 = parse_problem(json.dumps(serialize_problem(p)))
         assert p2.lattice.gram == p.lattice.gram

@@ -12,6 +12,7 @@ from k3cone import (
     GeometryError,
     Lattice,
     cone_from_inequalities,
+    enumeration,
     nef_test,
     nef_walls,
     roots_up_to_degree,
@@ -203,22 +204,68 @@ def _assert_incremental_equals_batch(lat, ample, nef):
     assert nef.cone.lineality == batch.lineality == ()
 
 
-def _rank5_fixture():
-    data = json.loads((PROBLEMS / "rank5_supersingular.json").read_text())
+def _fixture(name):
+    data = json.loads((PROBLEMS / f"{name}.json").read_text())
     return tuple(map(tuple, data["gram"])), tuple(data["ample"])
 
 
 @pytest.mark.parametrize(
     "gram,ample",
-    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3)] + [_rank5_fixture()],
-    ids=["UA1", "UA1^2", "UA1^3", "rank5"],
+    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("rank5_supersingular")],
+    ids=["UA1", "UA1^2", "UA1^3", "UA1^4", "rank5"],
 )
 def test_incremental_walls_equal_batch_double_description(gram, ample):
-    """The doublings fed in degree order cut the cone one batch DD cuts."""
+    """The marks fed in degree order cut the cone one batch DD cuts."""
     lat = Lattice(gram)
     nef = nef_walls(lat, ample)
     assert nef.complete
     _assert_incremental_equals_batch(lat, ample, nef)
+
+
+def test_u_e8_chamber_equals_batch_double_description():
+    """U+E8(-1) at the Weyl vector: ten walls, each of degree 1.
+
+    The first bound 2 rho^2 = 2480 is far out of reach of a batch
+    enumeration, but a certified cone implies every root, so the batch cone
+    of the roots up to any degree past the walls' is the same cone.
+    """
+    gram, rho = _fixture("u_e8")
+    lat = Lattice(gram)
+    nef = nef_walls(lat, rho)
+    assert nef.complete and nef.polyhedral and nef.stable
+    assert nef.certification_bound == 2 * lat.norm(rho) == 2480
+    assert len(nef.walls) == len(nef.rays) == 10
+    assert all(lat.pairing(rho, w) == 1 for w in nef.walls)
+    batch = cone_from_inequalities(lat, roots_up_to_degree(lat, rho, 16))
+    assert (nef.cone.rays, nef.cone.normals) == (batch.rays, batch.normals)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_certification_scans_a_root_prefix_below_the_bound(k):
+    """A chamber certified early leaves the stream short of the first bound."""
+    lat, ample = Lattice(_ua(k)), (4, 3) + (1,) * k
+    enumeration._slice_for.cache_clear()
+    nef = nef_walls(lat, ample)
+    assert nef.complete
+    assert nef.certification_bound == 2 * lat.norm(ample)
+    scanned = enumeration._slice_for(lat, ample).streams[-2][1]
+    assert scanned < nef.certification_bound
+
+
+def test_rootless_rank2_with_isotropic_rays_certifies():
+    """The two rational isotropic rays alone cut out the chamber, and certify.
+
+    Both rows go in before the first mark, which adds no root, so the cone
+    must count as changed there.
+    """
+    lat = Lattice(((0, 2), (2, 0)))
+    assert roots_up_to_degree(lat, (1, 1), 40) == ()
+    nef = nef_walls(lat, (1, 1))
+    assert nef.complete and nef.polyhedral
+    assert nef.walls == () and nef.witnesses == ()
+    assert nef.rays == ((0, 1), (1, 0))
+    assert all(lat.norm(r) == 0 for r in nef.rays)
+    assert nef.certification_bound == 8
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
