@@ -23,7 +23,7 @@ from .enumeration import (
     roots_up_to_degree,
     separating_roots,
 )
-from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
+from .errors import BoundExhausted, BrokenInvariant, GeometryError
 from .groups import filter_preserving_K
 from .orbits import (
     ISOTROPY_ADVICE,
@@ -211,17 +211,9 @@ def _cmd_reduce(problem: Problem, args):
         certificates = {"saturated": False, "in_domain": False}
     else:
         certificates = {"saturated": domain.saturated, "in_domain": True}
-        try:
-            endpoint, reflections, word = reduce_to_domain(
-                problem.lattice, problem.ample, problem.group, domain, x
-            )
-        except CoverageFailure as e:
-            endpoint, reflections, word = e.reduced, (), ()
-            certificates["in_domain"] = False
-            warnings.append(
-                "the reduced point missed the domain; the generators do not "
-                "exhibit it as fundamental at this bound"
-            )
+        endpoint, reflections, word = reduce_to_domain(
+            problem.lattice, problem.ample, problem.group, domain, x
+        )
     results = {
         "start": rpt.encode(x),
         "endpoint": rpt.encode(endpoint),

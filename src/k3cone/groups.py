@@ -1,7 +1,12 @@
 """Chamber-preserving isometry groups and the mod-p subspace filter.
 
 Generators are integer matrices that preserve the pairing, keep the ample
-component, and map the ample chamber into itself.
+component, and map the ample chamber into itself.  ``build_group`` closes
+them under inversion and records each inverse's index, so a generator word
+inverts index by index.
+
+``word_search`` is the one breadth-first search over generator words: the
+ample orbit, the tiling translates and the orbit-merge balls all use it.
 
 Generator verification does not discover walls itself: the caller passes the
 chamber's ``NefDescription`` (a problem file passes the one it computes at its
@@ -78,6 +83,7 @@ class GroupGenerators:
     ample: Vec
     gens: tuple[Isometry, ...]
     provenance: tuple[str, ...]
+    inverses: tuple[int, ...]  # gens[inverses[i]] is the inverse of gens[i]
 
     def matrices(self) -> tuple[Mat, ...]:
         return tuple(g.matrix for g in self.gens)
@@ -97,6 +103,7 @@ def build_group(
     ample = as_vector(ample, lat.rank, "ample class")
     matrices = [tuple(tuple(int(x) for x in row) for row in m) for m in matrices]
     tagged: dict[Mat, str] = {}
+    inverse: dict[Mat, Mat] = {}
     for i, m in enumerate(matrices):
         report = verify_generator(lat, ample, m, nef)
         if not report.ok:
@@ -104,45 +111,43 @@ def build_group(
         g = Isometry(lat, m)
         if g.is_identity():
             continue
-        tagged.setdefault(g.matrix, f"input[{i}]")
         inv = g.inverse()
-        if not inv.is_identity():
-            tagged.setdefault(inv.matrix, f"inverse(input[{i}])")
+        tagged.setdefault(g.matrix, f"input[{i}]")
+        tagged.setdefault(inv.matrix, f"inverse(input[{i}])")
+        inverse[g.matrix], inverse[inv.matrix] = inv.matrix, g.matrix
     order = sorted(tagged)
+    index = {m: i for i, m in enumerate(order)}
     return GroupGenerators(
         lattice=lat,
         ample=ample,
         gens=tuple(Isometry(lat, m) for m in order),
         provenance=tuple(tagged[m] for m in order),
+        inverses=tuple(index[inverse[m]] for m in order),
     )
 
 
-def orbit_descend(
-    lat: Lattice, ample, group: GroupGenerators, x
-) -> tuple[Vec, tuple[int, ...]]:
-    """Greedy degree descent along generators.
+def word_search(moves, start, depth: int | None = None, keep=None) -> dict:
+    """Breadth-first search over words in ``moves``, starting at ``start``.
 
-    Applies, at each step, the generator with the best strict degree drop
-    (ties: lexicographically smallest matrix) until no generator improves.
-    Returns the endpoint and the word of generator indices applied in order.
+    Maps each element reached to the first word found for it, a shortest
+    one, in the order found.  A word lists move indices in application
+    order; ``keep`` prunes the elements reached, ``depth`` caps the length.
     """
-    x = as_vector(x, lat.rank)
-    word = []
-    degree = lat.pairing(ample, x)
-    while True:
-        best = None
-        for idx, g in enumerate(group.gens):
-            y = g.apply(x)
-            d = lat.pairing(ample, y)
-            if d >= degree:
-                continue
-            key = (d, g.matrix)
-            if best is None or key < best[0]:
-                best = (key, idx, y)
-        if best is None:
-            return x, tuple(word)
-        (degree, _), idx, x = best[0], best[1], best[2]
-        word.append(idx)
+    seen = {start: ()}
+    frontier = [start]
+    length = 0
+    while frontier and (depth is None or length < depth):
+        new = []
+        for x in frontier:
+            for idx, move in enumerate(moves):
+                y = move(x)
+                if y in seen or (keep is not None and not keep(y)):
+                    continue
+                seen[y] = seen[x] + (idx,)
+                new.append(y)
+        frontier = new
+        length += 1
+    return seen
 
 
 # ---------------------------------------------------------------------------

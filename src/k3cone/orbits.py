@@ -6,10 +6,11 @@ walls themselves (norm -2, "nodal"), primitive isotropic chamber classes
 queries delegate to the dedicated kinds.
 
 Canonicalization is reduce-into-the-domain: walk into the chamber, then
-greedy generator descent.  Distinct reduced representatives can still lie
-in one orbit when they sit on the domain boundary, so a bounded
-breadth-first ball over generator words (length <= 4) merges such
-coincidences; the class representative is the (degree, lex)-least member.
+descend into the Sterk domain by the generators and the inverses of its
+cuts.  Distinct reduced representatives can still lie in one orbit when
+they sit on the domain boundary, so a bounded breadth-first ball over
+generator words (length <= 4) merges such coincidences; the class
+representative is the (degree, lex)-least member.
 Tables carry a stability flag — whether doubling the search bound changes
 the representative set — and are never silently claimed complete.
 """
@@ -22,7 +23,7 @@ from math import gcd
 
 from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
-from .groups import GroupGenerators
+from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Vec, as_vector
 from .sterk import ORBIT_BOUND_FACTOR, SterkDomain, reduce_to_domain
 from .weyl import NefDescription, word_isometry
@@ -54,22 +55,6 @@ class OrbitTable:
         return tuple(e.representative for e in self.entries)
 
 
-def _ball(lat: Lattice, group: GroupGenerators, x: Vec, depth: int) -> set[Vec]:
-    """Generator-word ball around x, words of length <= depth."""
-    seen = {x}
-    frontier = [x]
-    for _ in range(depth):
-        new = []
-        for v in frontier:
-            for g in group.gens:
-                y = g.apply(v)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
-
-
 def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list:
     """Union reduced representatives identified by a bounded word ball."""
     reps = sorted(reduced)
@@ -81,10 +66,12 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
             r = parent[r]
         return r
 
-    # a and b are joined when either lies in the other's ball; the partition
-    # depends only on that edge set, so one pass over each ball finds it
+    # a and b are joined when either lies in the other's generator-word ball
+    # (words of length <= MERGE_DEPTH); the partition depends only on that
+    # edge set, so one pass over each ball finds it
+    moves = [g.apply for g in group.gens]
     for r in reps:
-        for y in _ball(lat, group, r, MERGE_DEPTH):
+        for y in word_search(moves, r, depth=MERGE_DEPTH):
             if y in parent:
                 parent[find(y)] = find(r)
     groups: dict[Vec, list[Vec]] = {}
@@ -159,9 +146,7 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     else:
         classes = classes_up_to_degree(lat, ample, 2 * genus - 2, 2 * bound)
     low, doubled = {}, {}
-    # the sources of degree <= bound go first, so a class that misses the
-    # domain is the one the bound's table alone would have met first
-    for x in sorted(classes, key=lambda x: lat.pairing(ample, x) > bound):
+    for x in classes:
         z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
         doubled.setdefault(z, []).append((x, reflections, word))
         if lat.pairing(ample, x) <= bound:

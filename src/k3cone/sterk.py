@@ -9,7 +9,9 @@ moved down by a generator (descent stability).  If any check fails the cap
 doubles, up to the shared doubling ceiling.
 
 Reduction into the domain is walk-then-descend: reflections bring a class
-into the chamber, greedy generator descent moves it into the domain.
+into the chamber, then generators lower its degree and, where none does, the
+inverse of a cut's orbit element does.  A class that neither lowers lies in
+the domain, so the reduction always lands there.
 ``verify_fundamental`` spot-checks the two fundamental-domain properties
 (coverage on random samples, disjoint interiors of translates) and returns
 a certificate of what was actually established.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .cones import (
@@ -30,7 +33,7 @@ from .cones import (
 )
 from .enumeration import check_positive_closure
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
-from .groups import GroupGenerators, orbit_descend
+from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
 from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
 
@@ -66,20 +69,8 @@ def orbit_of_ample(
 
     Returns each orbit point with a shortest generator word reaching it.
     """
-    start = tuple(ample)
-    seen = {start: ()}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for idx, g in enumerate(group.gens):
-                y = g.apply(x)
-                if y in seen or lat.pairing(ample, y) > cap:
-                    continue
-                seen[y] = seen[x] + (idx,)
-                new.append(y)
-        frontier = new
-    return seen
+    moves = [g.apply for g in group.gens]
+    return word_search(moves, tuple(ample), keep=lambda y: lat.pairing(ample, y) <= cap)
 
 
 def _chamber_normals(nef: NefDescription) -> tuple[Vec, ...]:
@@ -128,7 +119,9 @@ def sterk_domain(
             )
             if rays_ok:
                 stable = all(
-                    orbit_descend(lat, ample, group, r)[0] == r for r in cone.rays
+                    lat._pair(ample, g.apply(r)) >= lat._pair(ample, r)
+                    for r in cone.rays
+                    for g in group.gens
                 )
                 active = tuple(c for c in cuts if c.normal in set(cone.normals))
                 domain = SterkDomain(cone, active, bound, len(orbit), stable)
@@ -151,18 +144,45 @@ def reduce_to_domain(
 ) -> tuple[Vec, tuple[Vec, ...], tuple[int, ...]]:
     """Move a positive-closure class into the domain.
 
+    Reflections walk x into the chamber.  Then, while some move strictly
+    lowers the degree, one is applied: the generator with the least image
+    degree (then the smaller index) if any lowers it, else the cut inverse
+    with the least image degree (then the shorter, smaller word).  For a cut
+    with orbit point h = gamma(H), gamma^-1 sends the degree H.y to h.y, so
+    a class no move lowers satisfies every cut.  Generators go first, so a
+    class they alone bring into the domain keeps its generator-only word.
+
     Returns ``(point, reflections, generator word)``; applying the recorded
     reflections to x, then the generators, in order, yields the point.
-    Raises CoverageFailure when the endpoint misses the domain — the recorded
-    generators do not (yet) exhibit it as fundamental.
+    Raises CoverageFailure when the endpoint misses the domain, which only a
+    hand-built domain not cut out by its own cuts allows.
     """
     x = as_vector(x, lat.rank)
     check_positive_closure(lat, ample, x)
     y, reflections = walk_to_nef(lat, ample, x)
-    z, word = orbit_descend(lat, ample, group, y)
-    if not contains(lat, domain.cone, z):
-        raise CoverageFailure(x, z)
-    return z, reflections, word
+    inv = group.inverses
+    # (tier, word, row): generators are tier 0, cut inverses tier 1; a move m
+    # sends the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)
+    moves = sorted(
+        [(0, (i,), lat._dual(group.gens[j].apply(ample))) for i, j in enumerate(inv)]
+        + [(1, tuple(inv[i] for i in reversed(c.word)), lat._dual(c.orbit_point))
+           for c in domain.cuts],
+        key=lambda m: (m[0], len(m[1]), m[1]),
+    )
+    degree = lat._pair(ample, y)
+    word = ()
+    while True:
+        lower = [(t, d, w) for t, w, row in moves if (d := sum(map(mul, row, y))) < degree]
+        if not lower:
+            break
+        # min keeps the first of equal (tier, degree): the shortest, smallest word
+        _, degree, w = min(lower, key=lambda m: m[:2])
+        for i in w:
+            y = group.gens[i].apply(y)
+        word += w
+    if not contains(lat, domain.cone, y):
+        raise CoverageFailure(x, y)
+    return y, reflections, word
 
 
 @dataclass(frozen=True)
@@ -192,19 +212,13 @@ class FundamentalCertificate:
 def group_words(group: GroupGenerators, length: int):
     """Distinct non-identity group elements spelled by words up to ``length``."""
     lat = group.lattice
-    identity = Isometry(lat, linalg.identity(lat.rank))
-    elements: dict = {identity.matrix: ()}
-    frontier = [identity]
-    for _ in range(length):
-        new = []
-        for g in frontier:
-            for idx, h in enumerate(group.gens):
-                gh = h.compose(g)
-                if gh.matrix not in elements:
-                    elements[gh.matrix] = elements[g.matrix] + (idx,)
-                    new.append(gh)
-        frontier = new
-    del elements[identity.matrix]
+    identity = linalg.identity(lat.rank)
+    elements = word_search(
+        [lambda m, g=g.matrix: linalg.mat_mul(g, m) for g in group.gens],
+        identity,
+        depth=length,
+    )
+    del elements[identity]
     return [(Isometry(lat, m), w) for m, w in sorted(elements.items())]
 
 
@@ -223,10 +237,12 @@ def verify_fundamental(
     Coverage draws non-negative integer combinations of the chamber rays
     (of the ample class and the domain rays, when the chamber is round),
     scatters them by random generator words, and reduces each back into the
-    domain.  Tiling checks every distinct group element spelled by a word of
-    at most ``word_length`` generators: its translate of the domain must
-    either coincide with the domain (a stabilizer symmetry, e.g. a generator
-    fixing the ample class) or meet it in no interior point.
+    domain.  On a domain from ``sterk_domain`` coverage holds by
+    construction, so the samples cross-check the reduction.  Tiling checks
+    every distinct group element spelled by a word of at most
+    ``word_length`` generators: its translate of the domain must either
+    coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
+    the ample class) or meet it in no interior point.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     rays_nef = all(nef_test(lat, ample, r) for r in domain.cone.rays)

@@ -1,4 +1,4 @@
-"""Chamber-preserving groups: verification, closure, descent, mod-p filters."""
+"""Chamber-preserving groups: verification, closure, mod-p filters."""
 
 import random
 
@@ -15,7 +15,6 @@ from k3cone import (
     build_group,
     filter_preserving_K,
     nef_walls,
-    orbit_descend,
     preserves_K,
     verify_generator,
     walk_to_nef,
@@ -85,6 +84,7 @@ def test_build_group_closes_under_inversion(latR):
     grp = build_group(latR, AMPLE_R, [G_R, SWAP])
     assert grp.matrices() == (G_R, SWAP, ((7, 1), (-1, 0)))
     assert grp.provenance == ("input[0]", "input[1]", "inverse(input[0])")
+    assert grp.inverses == (2, 1, 0)
 
 
 def test_build_group_drops_identity_and_duplicates(latP):
@@ -98,30 +98,7 @@ def test_build_group_empty(latP):
     assert grp.matrices() == ()
 
 
-# ---------------------------------------------------------------- descent and projection
-
-
-def test_orbit_descend_desk_values(latP, latR):
-    grpP = build_group(latP, AMPLE_P, [GAMMA_P])
-    assert orbit_descend(latP, AMPLE_P, grpP, (4, 5)) == ((2, 1), (0,))
-    grpR = build_group(latR, AMPLE_R, [G_R, SWAP])
-    assert orbit_descend(latR, AMPLE_R, grpR, (-1, 8)) == ((1, 1), (2,))
-
-
-def test_orbit_descend_word_replays(latP):
-    grpP = build_group(latP, AMPLE_P, [GAMMA_P])
-    rng = random.Random(3)
-    mats = grpP.matrices()
-    for _ in range(50):
-        x = tuple(rng.randint(-9, 9) for _ in range(2))
-        end, word = orbit_descend(latP, AMPLE_P, grpP, x)
-        y = x
-        for i in word:
-            y = O.apply_matrix(mats[i], y)
-        assert y == end
-        # endpoint is a local minimum: no generator lowers the degree further
-        for m in mats:
-            assert latP.pairing(AMPLE_P, O.apply_matrix(m, end)) >= latP.pairing(AMPLE_P, end)
+# ---------------------------------------------------------------- projection
 
 
 def test_project_already_nef_is_identity_word(latP):

@@ -2,12 +2,15 @@
 
 The domain is the part of the ample chamber on the near side of every
 half-space H . (h - H) >= 0, h ranging over the degree-capped group orbit of
-the ample class; saturation means every extreme ray survives group descent.
+the ample class; saturation means no generator lowers an extreme ray's degree.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from k3cone import (
@@ -27,6 +30,31 @@ from k3cone import (
 from k3cone.sterk import group_words
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
+
+# diag(2, -6): no roots, so the chamber is the positive cone; its group is
+# generated by the Pell automorph and the flip y -> -y
+GRAM_D = ((2, 0), (0, -6))
+PELL = ((2, 3), (1, 2))
+FLIP = ((1, 0), (0, -1))
+# rank-2 (gram, ample, generators) cases; R13, D41, D51 and D52 are where a
+# greedy generator descent stopped outside the domain
+RANK2 = {
+    "P": (GRAM_P, (2, 1), (GAMMA_P,)),
+    "R": (GRAM_R, (1, 1), (G_R, SWAP)),
+    "R13": (GRAM_R, (1, 3), (G_R, SWAP)),
+    "D41": (GRAM_D, (4, 1), (PELL, FLIP)),
+    "D51": (GRAM_D, (5, 1), (PELL, FLIP)),
+    "D52": (GRAM_D, (5, 2), (PELL, FLIP)),
+}
+
+
+@lru_cache(maxsize=None)
+def _setup(name):
+    gram, ample, gens = RANK2[name]
+    lat = Lattice(gram)
+    nef = nef_walls(lat, ample)
+    grp = build_group(lat, ample, gens, nef)
+    return lat, ample, grp, nef, sterk_domain(lat, ample, grp, nef)
 
 
 def test_domain_U_trivial_group(setups):
@@ -116,9 +144,64 @@ def test_orbit_matches_bfs_oracle(setups):
 # ---------------------------------------------------------------- reduction
 
 
+def _replay(gram, mats, x, reflections, word):
+    """Apply the reflections, then the generator matrices, in order."""
+    for d in reflections:
+        c = O.pairing(gram, x, d)
+        x = tuple(a + c * b for a, b in zip(x, d))
+    for i in word:
+        x = O.apply_matrix(mats[i], x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "name, x", [("D41", (41, 17)), ("D41", (44, 17)), ("R13", (-1, 16)), ("R13", (-25, 173))]
+)
+def test_reduce_reaches_domain_where_no_generator_lowers(name, x):
+    # greedy generator descent stops outside the domain on these classes, at
+    # a point no generator lowers; the inverse of a cut's orbit element does
+    lat, ample, grp, nef, dom = _setup(name)
+    end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
+    assert contains(lat, dom.cone, end)
+    assert _replay(lat.gram, grp.matrices(), x, reflections, word) == end
+
+
+def test_hand_built_domain_out_of_reach_raises_coverage_failure(setups):
+    latP, ampleP, grpP, nefP, domP = setups["P"]
+    # a strict sub-cone of the true domain, with no cuts to descend by:
+    # the domain ray (1, 0) is already of least degree in its orbit
+    narrow = cone_from_inequalities(latP, [(1, 2), (-1, -4)])
+    assert narrow.rays == ((1, 1), (2, 1))
+    fake = SterkDomain(cone=narrow, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    with pytest.raises(CoverageFailure) as exc:
+        reduce_to_domain(latP, ampleP, grpP, fake, (1, 0))
+    assert exc.value.reduced == (1, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RANK2)),
+    x=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    scatter=st.lists(st.integers(0, 5), max_size=6),
+)
+def test_reduce_is_least_degree_in_its_word_ball(name, x, scatter):
+    lat, ample, grp, nef, dom = _setup(name)
+    # H is interior to the positive cone, so x + kH enters it for some k
+    while lat.norm(x) < 0 or lat.pairing(ample, x) <= 0:
+        x = tuple(a + h for a, h in zip(x, ample))
+    mats = grp.matrices()
+    for i in scatter:
+        x = O.apply_matrix(mats[i % len(mats)], x)
+    end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
+    assert _replay(lat.gram, mats, x, reflections, word) == end
+    degree = O.pairing(lat.gram, ample, end)
+    assert all(O.pairing(lat.gram, ample, y) >= degree for y in O.orbit_ball(mats, end, 4))
+
+
 def test_reduce_to_domain_desk_values(setups):
     latP, ampleP, grpP, nefP, domP = setups["P"]
     assert reduce_to_domain(latP, ampleP, grpP, domP, (8, 11)) == ((2, 1), ((2, 3),), (0,))
+    assert reduce_to_domain(latP, ampleP, grpP, domP, (4, 5)) == ((2, 1), (), (0,))
     latR, ampleR, grpR, nefR, domR = setups["R"]
     assert reduce_to_domain(latR, ampleR, grpR, domR, (-1, 8)) == ((1, 1), (), (2,))
 
@@ -158,6 +241,17 @@ def test_R_swap_is_a_recorded_stabilizer(setups):
     cert = verify_fundamental(lat, ample, grp, dom, nef, samples=30, word_length=3, seed=0)
     assert (1,) in cert.stabilizer_words  # generator index of the swap
     assert cert.tiling_ok
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("D41", 0), ("D51", 0), ("D52", 0)] + [("R13", seed) for seed in (6, 9, 11, 12, 14)],
+)
+def test_fundamental_certificate_holds_where_greedy_descent_stuck(name, seed):
+    lat, ample, grp, nef, dom = _setup(name)
+    cert = verify_fundamental(lat, ample, grp, dom, nef, samples=200, seed=seed)
+    assert cert.coverage_failures == ()
+    assert cert.ok
 
 
 def test_overlapping_domain_fails_tiling(setups):
