@@ -16,6 +16,7 @@ from k3cone import (
     filter_preserving_K,
     nef_walls,
     preserves_K,
+    reduce_to_domain,
     verify_generator,
     walk_to_nef,
     word_isometry,
@@ -99,6 +100,14 @@ def test_build_group_empty(latP):
 
 
 # ---------------------------------------------------------------- projection
+
+
+def test_orbit_descend_desk_values(setups):
+    # reduction into the Sterk domain descends by a single generator here
+    latP, ampleP, grpP, nefP, domP = setups["P"]
+    assert reduce_to_domain(latP, ampleP, grpP, domP, (4, 5)) == ((2, 1), (), (0,))
+    latR, ampleR, grpR, nefR, domR = setups["R"]
+    assert reduce_to_domain(latR, ampleR, grpR, domR, (-1, 8)) == ((1, 1), (), (2,))
 
 
 def test_project_already_nef_is_identity_word(latP):

@@ -201,7 +201,6 @@ def test_reduce_is_least_degree_in_its_word_ball(name, x, scatter):
 def test_reduce_to_domain_desk_values(setups):
     latP, ampleP, grpP, nefP, domP = setups["P"]
     assert reduce_to_domain(latP, ampleP, grpP, domP, (8, 11)) == ((2, 1), ((2, 3),), (0,))
-    assert reduce_to_domain(latP, ampleP, grpP, domP, (4, 5)) == ((2, 1), (), (0,))
     latR, ampleR, grpR, nefR, domR = setups["R"]
     assert reduce_to_domain(latR, ampleR, grpR, domR, (-1, 8)) == ((1, 1), (), (2,))
 
