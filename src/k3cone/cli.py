@@ -108,7 +108,7 @@ def _cmd_roots(problem: Problem, args):
 def _cmd_walls(problem: Problem, args):
     nef = problem.nef
     warnings = []
-    if not nef.polyhedral:
+    if nef.looks_round:
         warnings.append(
             "no walls up to a doubled bound: the chamber looks round; "
             "completeness cannot be certified by search"

@@ -106,7 +106,7 @@ def nodal_orbits(
     word ball.  An empty wall list gives the (valid) empty table.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    stable = nef.complete or (not nef.walls and nef.stable)
+    stable = nef.complete or nef.looks_round
     if not nef.walls:
         return OrbitTable("nodal", None, (), nef.certification_bound, stable)
     witnesses = dict(nef.witnesses)

@@ -32,7 +32,7 @@ from .cones import (
     transform_cone,
 )
 from .enumeration import check_positive_closure
-from .errors import BoundExhausted, BrokenInvariant, CoverageFailure, GeometryError
+from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
 from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
@@ -73,12 +73,6 @@ def orbit_of_ample(
     return word_search(moves, tuple(ample), keep=lambda y: lat.pairing(ample, y) <= cap)
 
 
-def _chamber_normals(nef: NefDescription) -> tuple[Vec, ...]:
-    if nef.cone is not None:
-        return nef.cone.normals
-    return nef.walls
-
-
 def sterk_domain(
     lat: Lattice,
     ample,
@@ -88,7 +82,7 @@ def sterk_domain(
     ceiling: int = DOUBLING_CEILING,
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
-    chamber = _chamber_normals(nef)
+    chamber = nef.cone.normals if nef.complete else nef.walls
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
     fallback = None
@@ -104,13 +98,8 @@ def sterk_domain(
             if lat.pairing(ample, diff) <= 0:
                 raise BrokenInvariant(f"orbit point {h} at the ample degree")
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
-        try:
-            cone = cone_from_inequalities(
-                lat, chamber + tuple(c.normal for c in cuts)
-            )
-        except GeometryError:
-            cone = None
-        if cone is not None and cone.pointed and cone.full_dim:
+        cone = cone_from_inequalities(lat, chamber + tuple(c.normal for c in cuts))
+        if cone.pointed and cone.full_dim:
             rays_ok = all(
                 lat.norm(r) >= 0
                 and lat.pairing(ample, r) > 0
@@ -247,10 +236,7 @@ def verify_fundamental(
     ample = as_vector(ample, lat.rank, "ample class")
     rays_nef = all(nef_test(lat, ample, r) for r in domain.cone.rays)
 
-    if nef.polyhedral and nef.cone is not None and nef.cone.rays:
-        basis = nef.cone.rays
-    else:
-        basis = (ample,) + domain.cone.rays
+    basis = nef.rays or (ample,) + domain.cone.rays
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):

@@ -20,19 +20,22 @@ only reported as complete when it certifies itself:
   bound), so the cone is contained in the chamber;
 * the chamber is always contained in the cone, being cut by fewer walls;
 
-hence equality, with no appeal to the search bound.  A certified cone is the
-chamber, so it implies every root of every degree, and a chamber certified
-from a short root prefix is the one the first bound would certify; it is
-reported with that bound, as if the prefix had reached it.  The certificate
-depends on the cone alone, so it is re-run only when the cone has changed
-since the last attempt: an unchanged cone would fail it the same way.  When
-certification runs out of doublings, the partial answer is the root facets of
-the same cone that have an exact witness.  When rank is 2 and the form has
-rational isotropic directions those two boundary rays are added first, as
-inequalities, which is exactly the closed positive cone on that side.  A
-rootless stretch from the first bound that stays empty across one doubling is
-reported as a non-polyhedral chamber (round cone) with the bound on record --
-that outcome is honest but not a certificate, and is flagged as such.
+hence equality, with no appeal to the search bound.  That proof also gives
+each wall's witness: the sum of the rays of its facet lies inside the facet,
+so it is a nef class of positive norm on that wall and on no other root.  A
+certified cone is the chamber, so it implies every root of every degree, and
+a chamber certified from a short root prefix is the one the first bound would
+certify; it is reported with that bound, as if the prefix had reached it.
+The certificate depends on the cone alone, so it is re-run only when the cone
+has changed since the last attempt: an unchanged cone would fail it the same
+way.  When certification runs out of doublings, the partial answer is the
+root facets of the same cone that have an exact witness.  When rank is 2 and
+the form has rational isotropic directions those two boundary rays are added
+first, as inequalities, which is exactly the closed positive cone on that
+side.  A rootless stretch from the first bound that stays empty across one
+doubling is reported as a non-polyhedral chamber (round cone) with the bound
+on record -- that outcome is honest but not a certificate, and is flagged as
+such (``NefDescription.looks_round``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .enumeration import (
     _root_stream,
     check_positive_closure,
     rational_isotropic_rays,
-    separating_degree_bound,
     separating_roots,
 )
 from .errors import BrokenInvariant, GeometryError
@@ -66,16 +68,34 @@ ROOT_BOUND_FACTOR = 2  # the first root-degree bound, as a multiple of H^2
 
 @dataclass(frozen=True)
 class NefDescription:
-    """Wall data for the ample chamber, with its certification state."""
+    """Wall data for the ample chamber; ``cone`` is the certified chamber.
+
+    Without a cone the walls are the partial answer: root facets with exact
+    witnesses, whose completeness is unknown.  ``stable`` is False when the
+    last doubling still reached new roots.
+    """
 
     walls: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
-    polyhedral: bool
-    complete: bool
-    stable: bool
-    certification_bound: int
     witnesses: tuple[tuple[Vec, Vec], ...]
-    cone: RationalCone | None
+    certification_bound: int
+    cone: RationalCone | None = None
+    stable: bool = True
+
+    @property
+    def complete(self) -> bool:
+        """Whether the walls are certified to be all of them."""
+        return self.cone is not None
+
+    polyhedral = complete  # a certified chamber is the cone its walls cut out
+
+    @property
+    def rays(self) -> tuple[Vec, ...]:
+        return () if self.cone is None else self.cone.rays
+
+    @property
+    def looks_round(self) -> bool:
+        """No walls found, and the last doubling reached no new root."""
+        return not (self.complete or self.walls) and self.stable
 
 
 def walk_to_nef(lat: Lattice, ample, x) -> tuple[Vec, tuple[Vec, ...]]:
@@ -119,29 +139,10 @@ def word_isometry(lat: Lattice, word) -> Isometry:
     return Isometry(lat, m)
 
 
-def _facet_witness(lat, ample, cone, wall):
-    """Interior point of the wall's facet: a positive sum of its tight rays."""
+def _facet_witness(lat, cone, wall):
+    """The sum of the wall's tight rays, inside its facet of the chamber."""
     tight = [r for r in cone.rays if lat._pair(r, wall) == 0]
-    others = [n for n in cone.normals if n != wall]
-    for weights in (None, range(1, len(tight) + 1)):
-        if weights is None:
-            w = tuple(sum(r[i] for r in tight) for i in range(lat.rank))
-        else:
-            w = tuple(
-                sum(k * r[i] for k, r in zip(weights, tight)) for i in range(lat.rank)
-            )
-        if lat._pair(w, w) <= 0 or lat._pair(ample, w) <= 0:
-            continue
-        if any(lat._pair(w, n) <= 0 for n in others):
-            continue
-        # w must be nef and no other root may vanish at it; the separating
-        # bound at w limits the degree of any root through or across it
-        bound = separating_degree_bound(lat, ample, w)
-        gw, roots = lat._dual(w), _root_stream(lat, ample, bound)
-        pairings = (sum(map(mul, d, gw)) for d in roots)
-        if all(p > 0 or d == wall for d, p in zip(roots, pairings)):
-            return w
-    return None
+    return tuple(map(sum, zip(*tight)))
 
 
 def _certified_description(lat, ample, bound, cone):
@@ -155,30 +156,18 @@ def _certified_description(lat, ample, bound, cone):
     if not all(nef_test(lat, ample, r) for r in cone.rays):
         return None
     walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
-    witnesses = []
-    for wall in walls:
-        w = _facet_witness(lat, ample, cone, wall)
-        if w is None:
-            return None
-        witnesses.append((wall, w))
-    return NefDescription(
-        walls=walls,
-        rays=cone.rays,
-        polyhedral=True,
-        complete=True,
-        stable=True,
-        certification_bound=bound,
-        witnesses=tuple(witnesses),
-        cone=cone,
-    )
+    witnesses = tuple((wall, _facet_witness(lat, cone, wall)) for wall in walls)
+    return NefDescription(walls, witnesses, bound, cone)
 
 
 def _partial_walls(lat, ample, facets, roots):
     """The root facets with an exact witness when certification ran out.
 
-    The witness ``2H + (H.delta) delta`` is a positive-cone point of the
-    wall; it must pair positively with every other root found and be nef.
-    Only the completeness of the list is unknown.
+    The witness ``w = 2H + d delta``, ``d = H.delta``, is a positive-cone
+    point of the wall, kept when it pairs positively with every other root
+    found.  Its separating bound is exactly ``d``, at most the last mark,
+    so those roots include every root that could separate w from H: w is
+    nef.  Only the completeness of the list is unknown.
     """
     walls, witnesses = [], []
     for delta in facets:
@@ -187,9 +176,7 @@ def _partial_walls(lat, ample, facets, roots):
         hd = lat._pair(ample, delta)
         w = tuple(2 * ample[i] + hd * delta[i] for i in range(lat.rank))
         gw = lat._dual(w)
-        if any(sum(map(mul, m, gw)) <= 0 for m in roots if m != delta):
-            continue
-        if nef_test(lat, ample, w):
+        if all(sum(map(mul, m, gw)) > 0 for m in roots if m != delta):
             walls.append(delta)
             witnesses.append((delta, w))
     return tuple(walls), tuple(witnesses)
@@ -237,25 +224,7 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
             if certified is not None:
                 return certified
         if not roots and bound > first:
-            return NefDescription(
-                walls=(),
-                rays=(),
-                polyhedral=False,
-                complete=False,
-                stable=True,
-                certification_bound=bound,
-                witnesses=(),
-                cone=None,
-            )
+            return NefDescription((), (), bound)
     stable = not roots or lat._pair(ample, roots[-1]) <= bound // 2
     walls, witnesses = _partial_walls(lat, ample, dd.facets(), roots)
-    return NefDescription(
-        walls=walls,
-        rays=(),
-        polyhedral=False,
-        complete=False,
-        stable=stable,
-        certification_bound=bound,
-        witnesses=witnesses,
-        cone=None,
-    )
+    return NefDescription(walls, witnesses, bound, stable=stable)

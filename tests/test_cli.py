@@ -80,6 +80,25 @@ def test_walls_round_chamber_exits_2(capsys):
     assert rep["certificates"]["complete"] is False
     assert rep["certificates"]["stable"] is True
     assert any("round" in w for w in rep["warnings"])
+    assert not any("bound-limited" in w for w in rep["warnings"])
+
+
+def test_walls_ceiling_limited_warns_bound_limited(monkeypatch, tmp_path, capsys):
+    """A partial wall list is bound-limited, not round: diag(2,-4,-6) has
+    walls at ceiling 1 but does not certify there."""
+    prob = tmp_path / "partial.json"
+    prob.write_text(json.dumps({
+        "rank": 3,
+        "gram": [[2, 0, 0], [0, -4, 0], [0, 0, -6]],
+        "ample": [3, 1, 1],
+    }))
+    monkeypatch.setenv("K3CONE_CEILING", "1")
+    code, rep = run_valid(capsys, "walls", str(prob))
+    assert code == 2
+    assert rep["results"]["walls"] and rep["results"]["polyhedral"] is False
+    assert rep["certificates"]["complete"] is False
+    assert any("bound-limited" in w for w in rep["warnings"])
+    assert not any("round" in w for w in rep["warnings"])
 
 
 def test_walk(capsys):

@@ -13,6 +13,7 @@ from k3cone import (
     Lattice,
     cone_from_inequalities,
     enumeration,
+    linalg,
     nef_test,
     nef_walls,
     roots_up_to_degree,
@@ -290,6 +291,77 @@ def test_wall_witnesses_lie_on_their_facets():
             for other in nef.walls:
                 if other != wall:
                     assert lat.pairing(other, point) > 0
+
+
+def _assert_witnesses_are_facet_ray_sums(lat, ample, nef):
+    """Each witness is the sum of its facet's rays, nef, and on no other root
+    of degree up to its separating bound."""
+    assert nef.complete and len(nef.witnesses) == len(nef.walls)
+    for wall, w in nef.witnesses:
+        tight = [r for r in nef.rays if lat.pairing(r, wall) == 0]
+        assert w == tuple(map(sum, zip(*tight)))
+        assert nef_test(lat, ample, w)
+        bound = enumeration.separating_degree_bound(lat, ample, w)
+        roots = roots_up_to_degree(lat, ample, bound)
+        assert [d for d in roots if lat.pairing(d, w) == 0] == [wall]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 3))
+def test_certified_witnesses_on_random_lattices(seed, rank):
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank=rank)
+    nef = nef_walls(lat, ample, ceiling=3)
+    assume(nef.complete)
+    _assert_witnesses_are_facet_ray_sums(lat, ample, nef)
+
+
+@pytest.mark.parametrize(
+    "gram,ample",
+    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")],
+    ids=["UA1", "UA1^2", "UA1^3", "UA1^4", "u_e8"],
+)
+def test_certified_witnesses(gram, ample):
+    lat = Lattice(gram)
+    _assert_witnesses_are_facet_ray_sums(lat, ample, nef_walls(lat, ample))
+
+
+def _changed_basis(rng, gram, ample):
+    """An isometric copy (P^T G P, P^-1 H) for a random unimodular P."""
+    n = len(gram)
+    p = linalg.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        step = tuple(
+            tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
+            for a in range(n)
+        )
+        p = linalg.mat_mul(p, step)
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)
+    return gram, linalg.mat_vec(linalg.invert_unimodular(p), ample)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    diagonal=st.sampled_from([(2, -4, -6), (2, -2, -6)]),
+)
+def test_partial_witnesses_are_nef_with_separating_bound_their_degree(seed, diagonal):
+    """w = 2H + d delta with d = H.delta has separating bound exactly d, so
+    the roots up to the last mark already decide that w is nef."""
+    gram = tuple(
+        tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(diagonal)
+    )
+    gram, ample = _changed_basis(random.Random(seed), gram, (3, 1, 1))
+    lat = Lattice(gram)
+    nef = nef_walls(lat, ample, ceiling=1)
+    assert not nef.complete and nef.walls
+    assert [wall for wall, _ in nef.witnesses] == list(nef.walls)
+    for wall, w in nef.witnesses:
+        degree = lat.pairing(ample, wall)
+        assert w == tuple(2 * h + degree * d for h, d in zip(ample, wall))
+        assert enumeration.separating_degree_bound(lat, ample, w) == degree
+        assert nef_test(lat, ample, w)
 
 
 def test_rays_pass_nef_test():
