@@ -206,7 +206,7 @@ def _cmd_reduce(problem: Problem, args):
         warnings.append(str(e))
     if domain is None:
         # no domain to reduce into: report how far the chamber walk gets
-        endpoint, reflections = walk_to_nef(problem.lattice, problem.ample, x)
+        endpoint, reflections = walk_to_nef(problem.lattice, problem.ample, x, problem.nef)
         word = ()
         certificates = {"saturated": False, "in_domain": False}
     else:

@@ -251,8 +251,8 @@ def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
 
 def contains(lat: Lattice, cone: RationalCone, x) -> bool:
     """Membership in the closed cone (boundary included)."""
-    x = as_vector(x, lat.rank)
-    return all(lat.pairing(x, n) >= 0 for n in cone.normals)
+    gx = lat._dual(as_vector(x, lat.rank))
+    return all(sum(map(mul, n, gx)) >= 0 for n in cone.normals)
 
 
 def intersection(lat: Lattice, a: RationalCone, b: RationalCone) -> RationalCone:

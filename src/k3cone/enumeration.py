@@ -193,9 +193,11 @@ def separating_degree_bound(lat: Lattice, ample, x) -> int:
     """Certified upper bound for delta.H over roots separating x from H."""
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
-    h2 = lat.norm(ample)
-    hx = lat.pairing(ample, x)
-    x2 = lat.norm(x)
+    return _degree_bound(lat._pair(ample, ample), lat._pair(ample, x), lat._pair(x, x))
+
+
+def _degree_bound(h2: int, hx: int, x2: int) -> int:
+    """The separating bound from H^2, x.H and x^2 of a checked x."""
     if x2 == 0:
         return hx
     # (H.u)^2 / u^2 grows along u = (1-s) H + s x, so its maximum is at x;
@@ -206,10 +208,16 @@ def separating_degree_bound(lat: Lattice, ample, x) -> int:
 def separating_roots(lat: Lattice, ample, x) -> tuple[Vec, ...]:
     """All roots delta with delta.H > 0 > delta.x, lex-sorted.  Complete."""
     ample = as_vector(ample, lat.rank, "ample class")
-    x = as_vector(x, lat.rank)
-    bound = separating_degree_bound(lat, ample, x)
-    gx, roots = lat._dual(x), _root_stream(lat, ample, bound)
-    return tuple(sorted(d for d in roots if sum(map(mul, d, gx)) < 0))
+    x = check_positive_closure(lat, ample, x)
+    return tuple(sorted(_separating(lat, ample, x)))
+
+
+def _separating(lat: Lattice, ample: Vec, x: Vec):
+    """The roots separating a checked x from H, lazily, in degree order."""
+    gx = lat._dual(x)
+    hx, x2 = sum(map(mul, ample, gx)), sum(map(mul, x, gx))
+    bound = _degree_bound(lat._pair(ample, ample), hx, x2)
+    return (d for d in _root_stream(lat, ample, bound) if sum(map(mul, d, gx)) < 0)
 
 
 def _root_stream(lat: Lattice, ample: Vec, bound: int) -> list[Vec]:

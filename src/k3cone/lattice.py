@@ -108,16 +108,6 @@ def primitive_ray(x) -> Vec:
     return tuple(c // g for c in vec)
 
 
-def reflect_in_root(lat: Lattice, delta, x) -> Vec:
-    """s_delta(x) = x + (x . delta) delta, for delta of self-pairing -2."""
-    delta = as_vector(delta, lat.rank, "root")
-    if lat.norm(delta) != -2:
-        raise NotARoot(f"{delta} has self-pairing {lat.norm(delta)}, expected -2")
-    x = as_vector(x, lat.rank)
-    c = lat.pairing(x, delta)
-    return tuple(x[i] + c * delta[i] for i in range(lat.rank))
-
-
 def reflection_matrix(lat: Lattice, delta) -> Mat:
     """Matrix of s_delta acting on column vectors."""
     delta = as_vector(delta, lat.rank, "root")

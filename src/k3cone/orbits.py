@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
+from . import linalg
 from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
@@ -69,7 +71,7 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
     # a and b are joined when either lies in the other's generator-word ball
     # (words of length <= MERGE_DEPTH); the partition depends only on that
     # edge set, so one pass over each ball finds it
-    moves = [g.apply for g in group.gens]
+    moves = [partial(linalg.mat_vec, m) for m in group.matrices()]
     for r in reps:
         for y in word_search(moves, r, depth=MERGE_DEPTH):
             if y in parent:
@@ -79,7 +81,7 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
         groups.setdefault(find(r), []).append(r)
     entries = []
     for members in groups.values():
-        canonical = min(members, key=lambda v: (lat.pairing(ample, v), v))
+        canonical = min(members, key=lambda v: (lat._pair(ample, v), v))
         source, reflections, word = reduced[canonical][0]
         all_sources = tuple(
             s for m in sorted(members) for (s, _, _) in reduced[m]
@@ -87,7 +89,7 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
         entries.append(
             OrbitEntry(canonical, source, reflections, word, all_sources)
         )
-    entries.sort(key=lambda e: (lat.pairing(ample, e.representative), e.representative))
+    entries.sort(key=lambda e: (lat._pair(ample, e.representative), e.representative))
     return entries
 
 
@@ -149,7 +151,7 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     for x in classes:
         z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
         doubled.setdefault(z, []).append((x, reflections, word))
-        if lat.pairing(ample, x) <= bound:
+        if lat._pair(ample, x) <= bound:
             low.setdefault(z, []).append((x, reflections, word))
     entries = tuple(_merge_classes(lat, ample, group, low))
     stable = {e.representative for e in entries} == {

@@ -9,7 +9,8 @@ moved down by a generator (descent stability).  If any check fails the cap
 doubles, up to the shared doubling ceiling.
 
 Reduction into the domain is walk-then-descend: reflections bring a class
-into the chamber, then generators lower its degree and, where none does, the
+into the chamber (by its walls, which the domain records when they are
+certified), then generators lower its degree and, where none does, the
 inverse of a cut's orbit element does.  A class that neither lowers lies in
 the domain, so the reduction always lands there.
 ``verify_fundamental`` spot-checks the two fundamental-domain properties
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 from . import linalg
@@ -35,7 +37,7 @@ from .enumeration import check_positive_closure
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
-from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
+from .weyl import DOUBLING_CEILING, NefDescription, _walk, nef_test
 
 ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
 
@@ -51,11 +53,15 @@ class OrbitCut:
 
 @dataclass(frozen=True)
 class SterkDomain:
+    """The domain's cone and cuts; ``walls`` are the certified chamber walls
+    it was cut from, None when the chamber is not certified."""
+
     cone: RationalCone
     cuts: tuple[OrbitCut, ...]
     orbit_bound: int
     orbit_size: int
     saturated: bool
+    walls: tuple[Vec, ...] | None = None
 
     @property
     def rays(self) -> tuple[Vec, ...]:
@@ -69,8 +75,8 @@ def orbit_of_ample(
 
     Returns each orbit point with a shortest generator word reaching it.
     """
-    moves = [g.apply for g in group.gens]
-    return word_search(moves, tuple(ample), keep=lambda y: lat.pairing(ample, y) <= cap)
+    moves = [partial(linalg.mat_vec, m) for m in group.matrices()]
+    return word_search(moves, tuple(ample), keep=lambda y: lat._pair(ample, y) <= cap)
 
 
 def sterk_domain(
@@ -83,6 +89,7 @@ def sterk_domain(
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
     chamber = nef.cone.normals if nef.complete else nef.walls
+    walls = nef.walls if nef.complete else None
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
     fallback = None
@@ -113,7 +120,7 @@ def sterk_domain(
                     for g in group.gens
                 )
                 active = tuple(c for c in cuts if c.normal in set(cone.normals))
-                domain = SterkDomain(cone, active, bound, len(orbit), stable)
+                domain = SterkDomain(cone, active, bound, len(orbit), stable, walls)
                 if stable:
                     return domain
                 fallback = domain
@@ -146,14 +153,14 @@ def reduce_to_domain(
     Raises CoverageFailure when the endpoint misses the domain, which only a
     hand-built domain not cut out by its own cuts allows.
     """
-    x = as_vector(x, lat.rank)
-    check_positive_closure(lat, ample, x)
-    y, reflections = walk_to_nef(lat, ample, x)
-    inv = group.inverses
+    ample = as_vector(ample, lat.rank, "ample class")
+    x = check_positive_closure(lat, ample, x)
+    y, reflections = _walk(lat, ample, x, domain.walls)
+    mats, inv = group.matrices(), group.inverses
     # (tier, word, row): generators are tier 0, cut inverses tier 1; a move m
     # sends the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)
     moves = sorted(
-        [(0, (i,), lat._dual(group.gens[j].apply(ample))) for i, j in enumerate(inv)]
+        [(0, (i,), lat._dual(linalg.mat_vec(mats[j], ample))) for i, j in enumerate(inv)]
         + [(1, tuple(inv[i] for i in reversed(c.word)), lat._dual(c.orbit_point))
            for c in domain.cuts],
         key=lambda m: (m[0], len(m[1]), m[1]),
@@ -167,7 +174,7 @@ def reduce_to_domain(
         # min keeps the first of equal (tier, degree): the shortest, smallest word
         _, degree, w = min(lower, key=lambda m: m[:2])
         for i in w:
-            y = group.gens[i].apply(y)
+            y = linalg.mat_vec(mats[i], y)
         word += w
     if not contains(lat, domain.cone, y):
         raise CoverageFailure(x, y)

@@ -4,7 +4,15 @@ The ample chamber (``Nef``) is the set of positive-cone points on which every
 root of positive degree pairs non-negatively.  Walking a point into the
 chamber reflects it across separating walls in the order the straight segment
 from the ample class crosses them; the degree drops by at least one per step,
-so a walk of degree ``d`` finishes in at most ``d`` reflections.
+so a walk of degree ``d`` finishes in at most ``d`` reflections.  One integer
+loop does every walk: it validates its input once, compares crossing
+parameters by cross-multiplication and reflects inline.  Its candidates are
+the roots up to the separating bound, or, once the chamber is certified,
+only its walls: the segment leaves the open chamber, which meets no root
+hyperplane, through the wall it crosses first.  Walls tied there meet at an
+exit point of positive norm, whose roots form a finite root system with the
+tied walls as simple roots, so closing them under their own reflections
+recovers every root the segment crosses there.
 
 Wall discovery runs one loop over root-degree marks, in the manner of
 Vinberg's algorithm (Vinberg 1972): the powers of two below the first bound
@@ -41,26 +49,20 @@ such (``NefDescription.looks_round``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from . import linalg
 from .cones import DoubleDescription, RationalCone
 from .enumeration import (
+    _degree_bound,
     _root_stream,
+    _separating,
     check_positive_closure,
     rational_isotropic_rays,
-    separating_roots,
 )
 from .errors import BrokenInvariant, GeometryError
-from .lattice import (
-    Isometry,
-    Lattice,
-    Vec,
-    as_vector,
-    reflect_in_root,
-    reflection_matrix,
-)
+from .lattice import Isometry, Lattice, Vec, as_vector, reflection_matrix
 
 DOUBLING_CEILING = 12  # default number of bound doublings before giving up
 ROOT_BOUND_FACTOR = 2  # the first root-degree bound, as a multiple of H^2
@@ -98,37 +100,99 @@ class NefDescription:
         return not (self.complete or self.walls) and self.stable
 
 
-def walk_to_nef(lat: Lattice, ample, x) -> tuple[Vec, tuple[Vec, ...]]:
+def walk_to_nef(
+    lat: Lattice, ample, x, nef: NefDescription | None = None
+) -> tuple[Vec, tuple[Vec, ...]]:
     """Reflect x into the ample chamber; returns (endpoint, reflection word).
 
     The word lists the roots reflected in, in application order.  Among the
     separating roots of the current point, the one whose wall the segment
-    [H, x] crosses first is chosen; ties go to the lex-smallest root.
+    [H, x] crosses first is chosen; ties go to the lex-smallest root.  The
+    crossing parameter of delta is ``dh / (dh - dx)`` (``dh = delta.H > 0 >
+    dx = delta.x``), compared by integer cross-multiplication.
+
+    With a certified chamber ``nef`` of (lat, ample) the candidates are its
+    walls instead of the root prefix up to the separating bound (an
+    uncertified ``nef`` leaves the prefix in place): the open
+    chamber meets no root hyperplane, so the segment leaves it through the
+    wall it crosses first.  Walls tied there meet at an exit point p of
+    positive norm, so the roots through p form a finite root system of which
+    the tied walls are simple roots.  Closed under their own reflections,
+    they give every root through p; the lex-least of them with
+    ``delta.H > 0 > delta.x`` is the root the prefix rule picks.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
+    return _walk(lat, ample, x, nef.walls if nef is not None and nef.complete else None)
+
+
+def _walk(lat, ample, x, walls):
+    """``walk_to_nef`` on a checked x, by the certified ``walls`` when given."""
+    gh = lat._dual(ample)
+    h2 = sum(map(mul, ample, gh))
+    budget = sum(map(mul, x, gh))
     word = []
-    budget = lat.pairing(ample, x)
     while True:
-        seps = separating_roots(lat, ample, x)
-        if not seps:
+        gx = lat._dual(x)
+        if walls is None:
+            hx, x2 = sum(map(mul, ample, gx)), sum(map(mul, x, gx))
+            candidates = _root_stream(lat, ample, _degree_bound(h2, hx, x2))
+        else:
+            candidates = walls
+        # the least crossing so far is bh / (bh - bx); 1 / (1 - 0) is x itself,
+        # beyond every separating wall
+        tied, bh, bx = [], 1, 0
+        for delta in candidates:
+            dx = sum(map(mul, delta, gx))
+            if dx >= 0:
+                continue
+            dh = sum(map(mul, delta, gh))
+            c = dh * (bh - bx) - bh * (dh - dx)
+            if c < 0:
+                tied, bh, bx = [delta], dh, dx
+            elif c == 0:
+                tied.append(delta)
+        if not tied:
             return x, tuple(word)
-
-        def crossing(delta):
-            dh = lat._pair(delta, ample)
-            dx = lat._pair(delta, x)
-            return Fraction(dh, dh - dx)
-
-        delta = min(seps, key=lambda d: (crossing(d), d))
-        x = reflect_in_root(lat, delta, x)
+        if walls is not None and len(tied) > 1:
+            # the prefix holds every tied root; the walls only the simple ones
+            tied = [d for d in _root_closure(lat, tuple(tied))
+                    if sum(map(mul, d, gh)) > 0 > sum(map(mul, d, gx))]
+        delta = min(tied)
+        c = sum(map(mul, delta, gx))
+        x = tuple(a + c * b for a, b in zip(x, delta))
         word.append(delta)
         if len(word) > budget:
             raise BrokenInvariant(f"walk exceeded its degree budget of {budget} steps")
 
 
+@lru_cache(maxsize=1024)
+def _root_closure(lat: Lattice, simple: tuple[Vec, ...]) -> frozenset[Vec]:
+    """The roots reached from ``simple`` by their own reflections; finite here.
+
+    Walls meeting at an exit point form a face of the chamber, and a chamber
+    has finitely many faces, so walks keep asking for the same few closures.
+    """
+    duals = [(s, lat._dual(s)) for s in simple]
+    seen, frontier = set(simple), list(simple)
+    while frontier:
+        new = []
+        for v in frontier:
+            for s, gs in duals:
+                c = sum(map(mul, v, gs))
+                w = tuple(a + c * b for a, b in zip(v, s))
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+        frontier = new
+    return frozenset(seen)
+
+
 def nef_test(lat: Lattice, ample, x) -> bool:
-    """Whether x lies in the closed ample chamber."""
-    return not separating_roots(lat, ample, x)
+    """Whether x lies in the closed ample chamber; stops at the first separating root."""
+    ample = as_vector(ample, lat.rank, "ample class")
+    x = check_positive_closure(lat, ample, x)
+    return next(_separating(lat, ample, x), None) is None
 
 
 def word_isometry(lat: Lattice, word) -> Isometry:

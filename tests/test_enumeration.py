@@ -336,7 +336,7 @@ def test_invariant_guards_raise_typed_errors_under_python_O():
         nef = nef_walls(u, ample)
         group = build_group(u, ample, [], nef)
         # each stub breaks the property its guard checks
-        k3cone.weyl.reflect_in_root = lambda lat, delta, x: x
+        k3cone.weyl._root_stream = lambda lat, ample, bound: [(0, -1)]  # raises the degree
         k3cone.sterk.orbit_of_ample = lambda lat, ample, group, bound: {ample: (), (0, 2): (0,)}
         cases = [
             lambda: walk_to_nef(u, ample, (1, 3)),

@@ -1,5 +1,7 @@
 """Chamber walks and certified wall discovery."""
 
+import functools
+import itertools
 import json
 import random
 
@@ -239,6 +241,82 @@ def test_u_e8_chamber_equals_batch_double_description():
     assert all(lat.pairing(rho, w) == 1 for w in nef.walls)
     batch = cone_from_inequalities(lat, roots_up_to_degree(lat, rho, 16))
     assert (nef.cone.rays, nef.cone.normals) == (batch.rays, batch.normals)
+
+
+# ------------------------------------------------------ walks by the walls
+
+WALL_CHAMBERS = {
+    "U": (GRAM_U, AMPLE_U),
+    "P": (GRAM_P, AMPLE_P),
+    **{f"UA1^{k}": (_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3)},
+    "rank5": _fixture("rank5_supersingular"),
+    "u_e8": _fixture("u_e8"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _certified(name, sign):
+    """(lat, ample, nef) of a fixture chamber; sign -1 reads it in the basis
+    -e_i, which reverses the lex order, so ties settle on other roots."""
+    gram, ample = WALL_CHAMBERS[name]
+    lat, ample = Lattice(gram), tuple(sign * a for a in ample)
+    nef = nef_walls(lat, ample)
+    assert nef.complete
+    return lat, ample, nef
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(WALL_CHAMBERS)),
+    sign=st.sampled_from((1, -1)),
+    coeffs=st.lists(st.integers(-4, 4), min_size=10, max_size=10),
+    scatter=st.lists(st.integers(0, 9), max_size=2),
+)
+def test_walk_by_walls_equals_walk_by_root_prefix(name, sign, coeffs, scatter):
+    """A certified chamber's walls pick the same roots as the root prefix."""
+    lat, ample, nef = _certified(name, sign)
+    # the least multiple of H that brings the offset into the positive cone
+    x = tuple(coeffs[: lat.rank])
+    while lat.norm(x) < 0 or lat.pairing(ample, x) <= 0:
+        x = tuple(a + b for a, b in zip(x, ample))
+    for i in scatter:  # reflections keep the positive cone, and add steps
+        wall = nef.walls[i % len(nef.walls)]
+        x = tuple(a + lat.pairing(x, wall) * b for a, b in zip(x, wall))
+    assert walk_to_nef(lat, ample, x, nef) == walk_to_nef(lat, ample, x)
+
+
+def test_walk_by_walls_settles_ties_at_codimension_two_faces():
+    """x = (m + 1) p - H, with p the sum of the rays on two walls, leaves the
+    chamber at p, where every wall through p ties.
+
+    The prefix rule picks the lex-least separating root through p, which in
+    the reversed basis of U+E8(-1) is often not a wall: only closing the tied
+    walls under their reflections finds it.
+    """
+    ties = closed = 0
+    for name in ("UA1^1", "UA1^2", "UA1^3", "rank5", "u_e8"):
+        for sign in (1, -1):
+            lat, ample, nef = _certified(name, sign)
+            for w1, w2 in itertools.combinations(nef.walls, 2):
+                face = [r for r in nef.rays if lat.pairing(r, w1) == 0 == lat.pairing(r, w2)]
+                p = tuple(map(sum, zip(*face)))
+                if not face or lat.norm(p) <= 0:
+                    continue
+                for m in (1, 2, 5):
+                    x = tuple((m + 1) * a - b for a, b in zip(p, ample))
+                    if lat.norm(x) < 0 or lat.pairing(ample, x) <= 0:
+                        continue
+                    # p is in the chamber, and the walls through it all separate x
+                    assert all(lat.pairing(w, p) >= 0 for w in nef.walls)
+                    tied = [w for w in nef.walls if lat.pairing(w, p) == 0]
+                    assert len(tied) >= 2
+                    assert all(lat.pairing(w, x) < 0 for w in tied)
+                    end, word = walk_to_nef(lat, ample, x, nef)
+                    assert (end, word) == walk_to_nef(lat, ample, x)
+                    assert lat.pairing(word[0], p) == 0
+                    ties += 1
+                    closed += word[0] not in tied
+    assert ties > 300 and closed > 0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
