@@ -9,8 +9,8 @@ moved down by a generator (descent stability).  If any check fails the cap
 doubles, up to the shared doubling ceiling.
 
 Reduction into the domain is walk-then-descend: reflections bring a class
-into the chamber (by its walls, which the domain records when they are
-certified), then generators lower its degree and, where none does, the
+into the chamber (by the walls of the chamber the domain records, when it
+is certified), then generators lower its degree and, where none does, the
 inverse of a cut's orbit element does.  A class that neither lowers lies in
 the domain, so the reduction always lands there.
 ``verify_fundamental`` spot-checks the two fundamental-domain properties
@@ -33,11 +33,10 @@ from .cones import (
     interiors_disjoint,
     transform_cone,
 )
-from .enumeration import check_positive_closure
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
-from .weyl import DOUBLING_CEILING, NefDescription, _walk, nef_test
+from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
 
 ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
 
@@ -53,15 +52,14 @@ class OrbitCut:
 
 @dataclass(frozen=True)
 class SterkDomain:
-    """The domain's cone and cuts; ``walls`` are the certified chamber walls
-    it was cut from, None when the chamber is not certified."""
+    """The domain's cone and cuts; ``nef`` is the chamber it was cut from."""
 
     cone: RationalCone
     cuts: tuple[OrbitCut, ...]
     orbit_bound: int
     orbit_size: int
     saturated: bool
-    walls: tuple[Vec, ...] | None = None
+    nef: NefDescription | None = None
 
     @property
     def rays(self) -> tuple[Vec, ...]:
@@ -89,7 +87,6 @@ def sterk_domain(
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
     chamber = nef.cone.normals if nef.complete else nef.walls
-    walls = nef.walls if nef.complete else None
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
     fallback = None
@@ -120,7 +117,7 @@ def sterk_domain(
                     for g in group.gens
                 )
                 active = tuple(c for c in cuts if c.normal in set(cone.normals))
-                domain = SterkDomain(cone, active, bound, len(orbit), stable, walls)
+                domain = SterkDomain(cone, active, bound, len(orbit), stable, nef)
                 if stable:
                     return domain
                 fallback = domain
@@ -154,8 +151,7 @@ def reduce_to_domain(
     hand-built domain not cut out by its own cuts allows.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    x = check_positive_closure(lat, ample, x)
-    y, reflections = _walk(lat, ample, x, domain.walls)
+    y, reflections = walk_to_nef(lat, ample, x, domain.nef)
     mats, inv = group.matrices(), group.inverses
     # (tier, word, row): generators are tier 0, cut inverses tier 1; a move m
     # sends the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)

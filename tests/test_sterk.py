@@ -195,9 +195,9 @@ def test_reduce_is_least_degree_in_its_word_ball(name, x, scatter):
         x = O.apply_matrix(mats[i % len(mats)], x)
     end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
     assert _replay(lat.gram, mats, x, reflections, word) == end
-    # the walk by the recorded walls picks the roots the root prefix picks
-    assert dom.walls == (nef.walls if nef.complete else None)
-    by_prefix = reduce_to_domain(lat, ample, grp, replace(dom, walls=None), x)
+    # the walk by the recorded chamber's walls picks the roots the root prefix picks
+    assert dom.nef is nef
+    by_prefix = reduce_to_domain(lat, ample, grp, replace(dom, nef=None), x)
     assert by_prefix == (end, reflections, word)
     degree = O.pairing(lat.gram, ample, end)
     assert all(O.pairing(lat.gram, ample, y) >= degree for y in O.orbit_ball(mats, end, 4))

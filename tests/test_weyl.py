@@ -319,6 +319,23 @@ def test_walk_by_walls_settles_ties_at_codimension_two_faces():
     assert ties > 300 and closed > 0
 
 
+def test_walk_rejects_a_chamber_not_of_its_ample_class():
+    """Walls of a neighbouring chamber, or of a lattice of another rank, would
+    stop the walk outside the ample chamber; they raise instead."""
+    lat, ample, nef = _certified("UA1^2", 1)
+    wall = nef.walls[0]
+    beyond = tuple(a + lat.pairing(ample, wall) * b for a, b in zip(ample, wall))
+    neighbour = nef_walls(lat, beyond)
+    assert neighbour.complete and tuple(-a for a in wall) in neighbour.walls
+    x = tuple(3 * a for a in beyond)
+    for other in (neighbour, _certified("UA1^1", 1)[2]):
+        with pytest.raises(GeometryError, match="not the ample chamber"):
+            walk_to_nef(lat, ample, x, other)
+    # a multiple of the ample class has the same chamber
+    twice = tuple(2 * a for a in ample)
+    assert walk_to_nef(lat, twice, x, nef) == walk_to_nef(lat, twice, x)
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_certification_scans_a_root_prefix_below_the_bound(k):
     """A chamber certified early leaves the stream short of the first bound."""
