@@ -10,7 +10,7 @@ and lex-sorted.
 out so far and the rows kept so far; ``add`` cuts it by more rows, one at a
 time, and ``cone`` finishes it.  ``cone_from_inequalities`` validates and
 deduplicates its normals, adds them, and finishes.  ``nef_walls`` keeps one
-state across its doublings and adds only the roots each doubling brings.
+state across its doublings and adds only the walls each doubling accepts.
 
 A row that vanishes on the lineality and on which no ray is negative is
 implied by the cone so far, and stays implied, because adding rows only

@@ -31,6 +31,7 @@ from operator import mul
 
 from . import linalg
 from .errors import (
+    AmpleOnWall,
     DimensionMismatch,
     NonPositiveAmple,
     OppositeCone,
@@ -187,6 +188,13 @@ def check_positive_closure(lat: Lattice, ample, x) -> Vec:
     # degree zero cannot happen here: a nonzero vector of non-negative norm
     # orthogonal to H would contradict signature (1, rank-1)
     return x
+
+
+def check_off_walls(lat: Lattice, ample: Vec) -> None:
+    """Raise AmpleOnWall for a root orthogonal to H: a finite, definite search."""
+    on_wall = _slice_for(lat, ample).query(ROOT_NORM, 0)
+    if on_wall:
+        raise AmpleOnWall(on_wall[0])
 
 
 def separating_degree_bound(lat: Lattice, ample, x) -> int:

@@ -19,7 +19,6 @@ from operator import mul
 
 from . import linalg
 from .errors import (
-    AmpleOnWall,
     Degenerate,
     DimensionMismatch,
     NonPositiveAmple,
@@ -173,7 +172,5 @@ def validate_problem(gram, ample) -> tuple[Lattice, Vec]:
         raise NonPositiveAmple(f"ample class has self-pairing {lat.norm(h)} <= 0")
     from . import enumeration  # deferred: enumeration needs Lattice
 
-    on_wall = enumeration.vectors_norm_degree(lat, h, -2, 0)
-    if on_wall:
-        raise AmpleOnWall(on_wall[0])
+    enumeration.check_off_walls(lat, h)
     return lat, h

@@ -36,7 +36,7 @@ from .cones import (
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
-from .weyl import DOUBLING_CEILING, NefDescription, nef_test, walk_to_nef
+from .weyl import DOUBLING_CEILING, NefDescription, _nef_rays, walk_to_nef
 
 ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
 
@@ -103,24 +103,17 @@ def sterk_domain(
                 raise BrokenInvariant(f"orbit point {h} at the ample degree")
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
         cone = cone_from_inequalities(lat, chamber + tuple(c.normal for c in cuts))
-        if cone.pointed and cone.full_dim:
-            rays_ok = all(
-                lat.norm(r) >= 0
-                and lat.pairing(ample, r) > 0
-                and nef_test(lat, ample, r)
+        if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays):
+            stable = all(
+                lat._pair(ample, g.apply(r)) >= lat._pair(ample, r)
                 for r in cone.rays
+                for g in group.gens
             )
-            if rays_ok:
-                stable = all(
-                    lat._pair(ample, g.apply(r)) >= lat._pair(ample, r)
-                    for r in cone.rays
-                    for g in group.gens
-                )
-                active = tuple(c for c in cuts if c.normal in set(cone.normals))
-                domain = SterkDomain(cone, active, bound, len(orbit), stable, nef)
-                if stable:
-                    return domain
-                fallback = domain
+            active = tuple(c for c in cuts if c.normal in set(cone.normals))
+            domain = SterkDomain(cone, active, bound, len(orbit), stable, nef)
+            if stable:
+                return domain
+            fallback = domain
         bound *= 2
     raise BoundExhausted(
         "the orbit bound hit the doubling ceiling before the domain stabilized",
@@ -237,7 +230,7 @@ def verify_fundamental(
     the ample class) or meet it in no interior point.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    rays_nef = all(nef_test(lat, ample, r) for r in domain.cone.rays)
+    rays_nef = _nef_rays(lat, ample, domain.cone.rays)
 
     basis = nef.rays or (ample,) + domain.cone.rays
     rng = random.Random(seed)

@@ -14,36 +14,41 @@ exit point of positive norm, whose roots form a finite root system with the
 tied walls as simple roots, so closing them under their own reflections
 recovers every root the segment crosses there.
 
-Wall discovery runs one loop over root-degree marks, in the manner of
-Vinberg's algorithm (Vinberg 1972): the powers of two below the first bound
-``2 H^2``, then that bound and its doublings.  One double description
-(``cones.DoubleDescription``) runs across all the marks, and each mark adds
-only the roots of degree in (previous mark, mark], in the degree order of the
-root stream, so the low-degree roots that tend to be walls come first and most
-later roots are dropped as implied without a step.  A candidate description is
-only reported as complete when it certifies itself:
+Wall discovery reads the root stream in degree order up to root-degree
+marks: the powers of two below the first bound ``2 H^2``, then that bound
+and its doublings.  It decides walls by Vinberg's rule (Vinberg 1972): a
+root is a wall when it pairs >= 0 with every wall accepted so far.  The
+accepted walls cut one double description (``cones.DoubleDescription``),
+whose cone is certified whenever it changed.  With H off every root
+hyperplane (``check_off_walls``):
 
-* every extreme ray of the cut-out cone lies in the closed positive cone and
-  passes ``nef_test`` (whose separating search carries its own completeness
-  bound), so the cone is contained in the chamber;
-* the chamber is always contained in the cone, being cut by fewer walls;
+* **Ties.**  Distinct roots of equal degree pair >= 0: their difference
+  lies in the negative definite ``H-perp``, so they pair >= -1, and -1
+  would make the difference a root orthogonal to H.  So the rule needs no
+  order among equal degrees.
+* **Walls are accepted.**  Walls pair >= 0 two by two, so every wall is
+  accepted.  Any other root is a non-negative integer combination of at
+  least two walls (Vinberg), each of smaller degree, and its norm -2 makes
+  it pair negatively with one of them: accepted roots are walls.
+* **Certificate.**  A pointed, full-dimensional cone cut by walls, whose
+  rays lie in the closed positive cone, contains the chamber.  A wall
+  missing from its facets would pair >= 0 with every facet and so lie in
+  the cone, which a class of norm -2 cannot.  So the cone is the chamber.
+  In rank 2, rational isotropic boundary rays go in first as inequalities;
+  a cone with such a facet, which is no root, is certified by a
+  ``nef_test`` on each ray instead.
+* **Partial witness.**  For a wall delta of degree d, ``2H + d delta`` has
+  norm ``4 H^2 + 2 d^2 > 0`` and pairs ``2 alpha.H + d alpha.delta > 0``
+  with every other wall alpha: it lies in the chamber, on delta's facet only.
 
-hence equality, with no appeal to the search bound.  That proof also gives
-each wall's witness: the sum of the rays of its facet lies inside the facet,
-so it is a nef class of positive norm on that wall and on no other root.  A
-certified cone is the chamber, so it implies every root of every degree, and
-a chamber certified from a short root prefix is the one the first bound would
-certify; it is reported with that bound, as if the prefix had reached it.
-The certificate depends on the cone alone, so it is re-run only when the cone
-has changed since the last attempt: an unchanged cone would fail it the same
-way.  When certification runs out of doublings, the partial answer is the
-root facets of the same cone that have an exact witness.  When rank is 2 and
-the form has rational isotropic directions those two boundary rays are added
-first, as inequalities, which is exactly the closed positive cone on that
-side.  A rootless stretch from the first bound that stays empty across one
-doubling is reported as a non-polyhedral chamber (round cone) with the bound
-on record -- that outcome is honest but not a certificate, and is flagged as
-such (``NefDescription.looks_round``).
+A certified wall's witness is the sum of its facet's rays instead.  A
+certified cone implies every root, so a chamber certified from a short root
+prefix is reported with the first bound, as if the prefix had reached it.
+When certification runs out of doublings, the partial answer is the accepted
+walls, sorted, with their witnesses.  A rootless stretch from the first
+bound that stays empty across one doubling is reported as a round chamber
+with the bound on record: honest, but no certificate
+(``NefDescription.looks_round``).
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .enumeration import (
     _degree_bound,
     _root_stream,
     _separating,
+    check_off_walls,
     check_positive_closure,
     rational_isotropic_rays,
 )
@@ -72,8 +78,8 @@ ROOT_BOUND_FACTOR = 2  # the first root-degree bound, as a multiple of H^2
 class NefDescription:
     """Wall data for the ample chamber; ``cone`` is the certified chamber.
 
-    Without a cone the walls are the partial answer: root facets with exact
-    witnesses, whose completeness is unknown.  ``stable`` is False when the
+    Without a cone the walls are the partial answer: the walls up to the
+    last mark with exact witnesses, whose completeness is unknown.  ``stable`` is False when the
     last doubling still reached new roots.
     """
 
@@ -215,41 +221,25 @@ def _facet_witness(lat, cone, wall):
     return tuple(map(sum, zip(*tight)))
 
 
+def _nef_rays(lat, ample, rays, search=True) -> bool:
+    """Whether the rays lie in the closed positive cone and, with ``search``,
+    pass ``nef_test``; False, not an error, for a ray outside the cone."""
+    if not all(lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0 for r in rays):
+        return False
+    return not search or all(nef_test(lat, ample, r) for r in rays)
+
+
 def _certified_description(lat, ample, bound, cone):
     """The certified chamber when the cone cut so far is it; None when not yet."""
     if not (cone.pointed and cone.full_dim):
         return None
-    # the cheap positive-cone test first: a cone cut by a short root prefix
-    # often pokes out of it, and then no ray needs a separating search
-    if any(lat._pair(r, r) < 0 or lat._pair(ample, r) <= 0 for r in cone.rays):
-        return None
-    if not all(nef_test(lat, ample, r) for r in cone.rays):
-        return None
     walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
+    # facets that are all walls certify themselves; an isotropic facet is no
+    # wall, so then every ray needs its separating search
+    if not _nef_rays(lat, ample, cone.rays, search=len(walls) < len(cone.normals)):
+        return None
     witnesses = tuple((wall, _facet_witness(lat, cone, wall)) for wall in walls)
     return NefDescription(walls, witnesses, bound, cone)
-
-
-def _partial_walls(lat, ample, facets, roots):
-    """The root facets with an exact witness when certification ran out.
-
-    The witness ``w = 2H + d delta``, ``d = H.delta``, is a positive-cone
-    point of the wall, kept when it pairs positively with every other root
-    found.  Its separating bound is exactly ``d``, at most the last mark,
-    so those roots include every root that could separate w from H: w is
-    nef.  Only the completeness of the list is unknown.
-    """
-    walls, witnesses = [], []
-    for delta in facets:
-        if lat._pair(delta, delta) != -2:
-            continue
-        hd = lat._pair(ample, delta)
-        w = tuple(2 * ample[i] + hd * delta[i] for i in range(lat.rank))
-        gw = lat._dual(w)
-        if all(sum(map(mul, m, gw)) > 0 for m in roots if m != delta):
-            walls.append(delta)
-            witnesses.append((delta, w))
-    return tuple(walls), tuple(witnesses)
 
 
 def _degree_marks(first: int, ceiling: int):
@@ -265,29 +255,33 @@ def _degree_marks(first: int, ceiling: int):
 def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription:
     """Discover the chamber walls over doubling root-degree marks.
 
-    The marks are 1, 2, 4, ... below the first bound ``2 H^2``, then the
-    first bound and ``ceiling`` doublings of it.  One double description runs
-    across them; each mark adds only the roots of degree in (previous mark,
-    mark], in degree order, and the cone is certified whenever it changed
-    since the last attempt.  A certified cone is the chamber whatever the
-    mark, so it is reported with the larger of the mark and the first bound.
-    From the first bound on, a rootless bound that survives one doubling is
-    reported as a round chamber, and the last mark ends the search with the
-    partial result.
+    Reads the roots up to each mark in degree order, accepts walls by
+    Vinberg's rule and certifies the cone they cut whenever it changed (see
+    the module docstring).  A certified chamber is reported with the larger
+    of the mark and the first bound.  From the first bound on, a rootless
+    bound that survives one doubling is a round chamber, and the last mark
+    ends the search with the accepted walls as the partial result.  An ample
+    class orthogonal to a root raises AmpleOnWall.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if lat.pairing(ample, ample) <= 0:
         raise GeometryError("wall discovery needs an ample class of positive norm")
+    check_off_walls(lat, ample)
     ceiling = DOUBLING_CEILING if ceiling is None else ceiling
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     first = ROOT_BOUND_FACTOR * lat.norm(ample)
-    dd, roots = DoubleDescription(lat), []
+    dd, roots, walls = DoubleDescription(lat), [], []
     # certification depends on the cone alone, so it waits for a changed cone
     dirty = lat.rank == 2 and dd.add(rational_isotropic_rays(lat, ample)) > 0
     for bound in _degree_marks(first, ceiling):
         fed, roots = len(roots), _root_stream(lat, ample, bound)
-        dirty = dd.add(roots[fed:]) > 0 or dirty
+        accepted = len(walls)
+        for delta in roots[fed:]:
+            g = lat._dual(delta)
+            if all(sum(map(mul, w, g)) >= 0 for w in walls):
+                walls.append(delta)
+        dirty = dd.add(walls[accepted:]) > 0 or dirty
         if dirty and not dd.lineality:
             dirty = False
             certified = _certified_description(lat, ample, max(bound, first), dd.cone())
@@ -296,5 +290,8 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
         if not roots and bound > first:
             return NefDescription((), (), bound)
     stable = not roots or lat._pair(ample, roots[-1]) <= bound // 2
-    walls, witnesses = _partial_walls(lat, ample, dd.facets(), roots)
-    return NefDescription(walls, witnesses, bound, stable=stable)
+    walls.sort()
+    witnesses = tuple(
+        (d, tuple(2 * h + lat._pair(ample, d) * x for h, x in zip(ample, d))) for d in walls
+    )
+    return NefDescription(tuple(walls), witnesses, bound, stable=stable)

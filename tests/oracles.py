@@ -5,7 +5,10 @@ grids (numpy int64 stays exact at these sizes), greedy reflection walks driven
 by those box searches, breadth-first orbit balls, and dense residue checks.
 None of it shares code with the package under test, and none of it is meant
 to be fast or complete beyond the stated boxes -- the tests freeze values
-derived here and compare them against the package's certified output.
+derived here and compare them against the package's certified output.  The
+one exception is ``nef_walls_by_root_scans``, a reference for the wall rule
+alone, which runs on the package's enumeration, double description and
+``nef_test``.
 
 Conventions match the package: integer row vectors, pairing x.y = x^T G y,
 matrices act on column vectors.
@@ -279,3 +282,56 @@ def preserves_subspace_mod_p(p, basis, matrix):
     span = mod_p_span(p, basis)
     image = {tuple(c % p for c in apply_matrix(matrix, v)) for v in span}
     return image <= span
+
+
+def nef_walls_by_root_scans(lat, ample, ceiling):
+    """Wall discovery by root scans: the rule Vinberg's acceptance replaced.
+
+    Every root up to each mark cuts the cone, over the same marks as
+    ``nef_walls``.  A pointed, full-dimensional cone is certified when each
+    ray lies in the closed positive cone and passes ``nef_test``; its walls
+    are its root facets, each with the sum of the facet's rays.  When the
+    ceiling runs out, the partial answer keeps the root facets whose witness
+    ``2H + d delta`` pairs positively with every other root found.
+    """
+    from k3cone import NefDescription, nef_test, roots_up_to_degree
+    from k3cone.cones import DoubleDescription
+    from k3cone.enumeration import rational_isotropic_rays
+
+    ample = tuple(ample)
+    first = 2 * lat.norm(ample)
+    marks = [1 << k for k in range(first.bit_length()) if 1 << k < first]
+    marks += [first << step for step in range(ceiling + 1)]
+    dd, roots, previous = DoubleDescription(lat), (), 0
+    changed = lat.rank == 2 and dd.add(rational_isotropic_rays(lat, ample)) > 0
+    for bound in marks:
+        roots = roots_up_to_degree(lat, ample, bound)
+        changed = dd.add(d for d in roots if lat.pairing(ample, d) > previous) > 0 or changed
+        previous = bound
+        if changed and not dd.lineality:
+            changed = False
+            cone = dd.cone()
+            if (
+                cone.pointed
+                and cone.full_dim
+                and all(lat.norm(r) >= 0 and lat.pairing(ample, r) > 0 for r in cone.rays)
+                and all(nef_test(lat, ample, r) for r in cone.rays)
+            ):
+                walls = tuple(n for n in cone.normals if lat.norm(n) == -2)
+                witnesses = tuple(
+                    (w, tuple(map(sum, zip(*(r for r in cone.rays if lat.pairing(r, w) == 0)))))
+                    for w in walls
+                )
+                return NefDescription(walls, witnesses, max(bound, first), cone)
+        if not roots and bound > first:
+            return NefDescription((), (), bound)
+    stable = not roots or max(lat.pairing(ample, d) for d in roots) <= bound // 2
+    walls, witnesses = [], []
+    for delta in dd.facets():
+        if lat.norm(delta) != -2:
+            continue
+        w = tuple(2 * h + lat.pairing(ample, delta) * x for h, x in zip(ample, delta))
+        if all(lat.pairing(m, w) > 0 for m in roots if m != delta):
+            walls.append(delta)
+            witnesses.append((delta, w))
+    return NefDescription(tuple(walls), tuple(witnesses), bound, stable=stable)

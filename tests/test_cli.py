@@ -388,25 +388,30 @@ def _arms(gram):
 
 
 def test_walls_on_u_e8_is_the_e10_diagram():
-    """U+E8(-1) at its Weyl vector certifies within seconds: the E10 = T(2,3,7) chamber."""
+    """U+E8(-1) at its Weyl vector certifies within seconds: the E10 = T(2,3,7)
+    chamber.  So does U+E8(-1)+E8(-1) (rank 18): Vinberg's 19 walls, all of
+    degree 1."""
     src = str(Path(k3cone.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env.pop("K3CONE_CEILING", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # a child process, so that a regression fails at the deadline instead of hanging
-    done = subprocess.run(
-        [sys.executable, "-m", "k3cone.cli", "walls", str(PROBLEMS / "u_e8.json")],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
-    assert done.returncode == 0, done.stderr
-    rep = json.loads(done.stdout)
-    assert rep["certificates"]["complete"] is True
-    walls = [tuple(map(int, w)) for w in rep["results"]["walls"]]
-    assert len(walls) == 10
-    lat = k3cone.Lattice(
-        tuple(map(tuple, json.loads((PROBLEMS / "u_e8.json").read_text())["gram"]))
-    )
-    assert _arms([[lat.pairing(a, b) for b in walls] for a in walls]) == [1, 2, 6]
+    # the rank-18 chamber's diagram has two branch nodes, so only E10's has arms
+    for name, count, arms in (("u_e8", 10, [1, 2, 6]), ("u_e8e8", 19, None)):
+        # a child process, so that a regression fails at the deadline instead of hanging
+        done = subprocess.run(
+            [sys.executable, "-m", "k3cone.cli", "walls", str(PROBLEMS / f"{name}.json")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["certificates"]["complete"] is True
+        walls = [tuple(map(int, w)) for w in rep["results"]["walls"]]
+        assert len(walls) == count
+        data = json.loads((PROBLEMS / f"{name}.json").read_text())
+        lat = k3cone.Lattice(tuple(map(tuple, data["gram"])))
+        assert all(lat.pairing(data["ample"], w) == 1 for w in walls)
+        if arms is not None:
+            assert _arms([[lat.pairing(a, b) for b in walls] for a in walls]) == arms
 
 
 @pytest.mark.parametrize("argv, expected", [

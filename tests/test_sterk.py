@@ -272,6 +272,19 @@ def test_overlapping_domain_fails_tiling(setups):
     assert cert.coverage_ok
 
 
+def test_domain_ray_outside_the_positive_cone_is_not_nef(setups):
+    """A hand-built domain whose ray (0, 1) has norm -2 reports rays_nef
+    false instead of raising OutsidePositiveCone."""
+    latP, ampleP, grpP, nefP, _ = setups["P"]
+    quadrant = cone_from_inequalities(latP, [(1, 0), (0, -1)])
+    assert quadrant.rays == ((0, 1), (1, 0))
+    assert latP.norm((0, 1)) < 0
+    fake = SterkDomain(cone=quadrant, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=20, word_length=2, seed=1)
+    assert not cert.rays_nef
+    assert not cert.ok
+
+
 def test_bound_exhausted_carries_partial(setups):
     latP, ampleP, grpP, nefP, _ = setups["P"]
     with pytest.raises(BoundExhausted) as exc:

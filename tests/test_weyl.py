@@ -6,11 +6,12 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 from k3cone import (
+    AmpleOnWall,
     GeometryError,
     Lattice,
     cone_from_inequalities,
@@ -20,6 +21,7 @@ from k3cone import (
     nef_walls,
     roots_up_to_degree,
     walk_to_nef,
+    weyl,
     word_isometry,
 )
 
@@ -372,6 +374,53 @@ def test_incremental_walls_equal_batch_on_random_lattices(seed, rank, spread):
     nef = nef_walls(lat, ample, ceiling=3 if rank == 3 else 1)
     assume(nef.complete)
     _assert_incremental_equals_batch(lat, ample, nef)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4), ceiling=st.integers(0, 3))
+def test_vinberg_acceptance_equals_the_root_scan_reference(seed, rank, ceiling):
+    """Accepted walls give the certified chamber and the partial answer that
+    cutting by every root and scanning roots for certificates gives."""
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank=rank, spread=8 - rank)
+    nef = nef_walls(lat, ample, ceiling)
+    event("certified" if nef.complete else "partial" if nef.walls else "no walls")
+    assert nef == O.nef_walls_by_root_scans(lat, ample, ceiling)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4))
+def test_distinct_roots_of_equal_degree_pair_non_negatively(seed, rank):
+    """Their difference lies in the negative definite H-perp, and is no root
+    there, since H lies on no wall."""
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank=rank, spread=8 - rank)
+    roots = roots_up_to_degree(lat, ample, 2 * lat.norm(ample))
+    for _, same in itertools.groupby(sorted(roots, key=lambda d: lat.pairing(ample, d)),
+                                     key=lambda d: lat.pairing(ample, d)):
+        assert all(lat.pairing(a, b) >= 0 for a, b in itertools.combinations(same, 2))
+
+
+def test_walls_certify_without_a_ray_search(monkeypatch):
+    """A cone whose facets are all walls needs no nef_test; a rank-2 cone with
+    an isotropic facet still runs one per ray."""
+    calls = []
+    original = weyl.nef_test
+    monkeypatch.setattr(weyl, "nef_test", lambda *a: calls.append(a) or original(*a))
+    for gram, ample in [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")]:
+        assert nef_walls(Lattice(gram), ample).complete
+    assert calls == []
+    nef = nef_walls(Lattice(GRAM_U), AMPLE_U)
+    assert nef.complete and (1, 0) in nef.rays and len(calls) == len(nef.rays)
+
+
+def test_ample_on_a_wall_raises():
+    """(0, 0, 1) is a root of U+A1 orthogonal to H = (1, 1, 0), so H lies in
+    no open chamber, and no wall rule applies."""
+    lat, ample = Lattice(_ua(1)), (1, 1, 0)
+    assert lat.pairing(ample, (0, 0, 1)) == 0
+    with pytest.raises(AmpleOnWall) as exc:
+        nef_walls(lat, ample, 2)
+    assert lat.norm(exc.value.root) == -2
+    assert lat.pairing(ample, exc.value.root) == 0
 
 
 def test_wall_witnesses_lie_on_their_facets():
