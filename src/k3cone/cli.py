@@ -41,9 +41,7 @@ from .sterk import (
     sterk_domain,
     verify_fundamental,
 )
-from .weyl import ROOT_BOUND_FACTOR, walk_to_nef
-
-DEFAULT_ISOTROPY_BOX = 10
+from .weyl import DOT_WORD_LENGTH, ISOTROPY_BOX, ROOT_BOUND_FACTOR, walk_to_nef
 
 
 def _parse_class(text: str, rank: int) -> tuple[int, ...]:
@@ -72,7 +70,8 @@ def _nef_certificates(nef) -> dict:
 
 def _domain(problem: Problem) -> SterkDomain:
     return sterk_domain(
-        problem.lattice, problem.ample, problem.group, problem.nef, ceiling=problem.ceiling
+        problem.lattice, problem.ample, problem.group, problem.nef,
+        ceiling=problem.bounds.ceiling,
     )
 
 
@@ -143,10 +142,10 @@ def _cmd_nef_test(problem: Problem, args):
 
 
 def _dot_graph(problem: Problem, domain: SterkDomain) -> str:
-    """Adjacency of the domain and its word-length-<=2 translates."""
+    """Adjacency of the domain and its translates by words up to DOT_WORD_LENGTH."""
     lat = problem.lattice
     cones = [("e", domain.cone)]
-    for g, word in group_words(problem.group, 2):
+    for g, word in group_words(problem.group, DOT_WORD_LENGTH):
         label = "*".join(f"g{i}" for i in word)
         cones.append((label, transform_cone(lat, domain.cone, g)))
     lines = ["graph chamber_adjacency {", '  node [shape=box];', '  "e" [style=bold];']
@@ -172,14 +171,11 @@ def _cmd_sterk(problem: Problem, args):
             return results, {"saturated": False}, [str(e)]
         warnings.append(str(e))
     bounds = problem.bounds
-    configured = {
-        "samples": bounds.samples,
-        "word_length": bounds.word_length,
-        "seed": bounds.seed if args.seed is None else args.seed,
-    }
     cert = verify_fundamental(
         problem.lattice, problem.ample, problem.group, domain, problem.nef,
-        **{k: v for k, v in configured.items() if v is not None},
+        samples=bounds.samples,
+        word_length=bounds.word_length,
+        seed=bounds.seed if args.seed is None else args.seed,
     )
     results = {
         "domain": rpt.domain_payload(domain),
@@ -254,7 +250,7 @@ def _cmd_orbits(problem: Problem, args):
 
 
 def _cmd_isotropic(problem: Problem, args):
-    box = args.bound if args.bound is not None else DEFAULT_ISOTROPY_BOX
+    box = args.bound if args.bound is not None else ISOTROPY_BOX
     found = find_isotropic(problem.lattice, box)
     warnings = []
     if found is None:

@@ -24,7 +24,6 @@ same inequality collapses to the closed bound ``delta.H <= x.H``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
@@ -60,24 +59,16 @@ class _Slice:
             raise ZeroVector("the degree form vanishes: the ample class is zero")
         self.base = cols[0]  # degree(base) = content
         self.kernel = cols[1:]  # saturated basis of the degree-zero sublattice
-        m = len(self.kernel)
         neg = [[-lat._pair(a, b) for b in self.kernel] for a in self.kernel]
-        q = [[Fraction(x) for x in row] for row in neg]
-        ratios = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):  # rational LDL^T, once per (L, H)
-            if q[i][i] <= 0:
-                raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
-            for j in range(i + 1, m):
-                ratios[i][j] = q[i][j] / q[i][i]
-            for j in range(i + 1, m):
-                for k in range(j, m):
-                    q[j][k] -= ratios[i][j] * q[i][k]
+        d, ratios = linalg.ldl(neg)  # rational LDL^T, once per (L, H)
+        if any(x <= 0 for x in d):
+            raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
         inv = linalg.inverse(neg)
         delta = lcm(*(x.denominator for row in inv for x in row))
         p = lcm(*(x.denominator for row in ratios for x in row))
-        lc = lcm(*(q[i][i].denominator for i in range(m)))
+        lc = lcm(*(x.denominator for x in d))
         self.pu = [[int(p * x) for x in row] for row in ratios]
-        self.diag = [int(lc * q[i][i]) for i in range(m)]
+        self.diag = [int(lc * x) for x in d]
         self.delta, self.p, self.top = delta, p, p * p * delta * lc
         # at degree k * content: delta * z = k * centre and
         # delta * radius = k^2 * quad - delta * norm

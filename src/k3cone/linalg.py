@@ -102,48 +102,55 @@ def invert_unimodular(m):
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
-def signature(gram) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia via symmetric Gaussian reduction.
+def ldl(sym):
+    """Symmetric Gaussian reduction of a symmetric matrix: ``(diag, ratios)``.
 
-    Congruence transformations only, all arithmetic in Fraction, so the
-    result is exact for any symmetric integer matrix.
+    Congruence transformations only, exact: integers, and Fractions once a
+    pivot divides.  Each step pivots on the first remaining index whose
+    diagonal entry is non-zero and clears its row and column, recording
+    ``ratios[k][i]`` = entry / pivot; when every remaining diagonal entry
+    vanishes, an off-diagonal entry is folded onto the diagonal first.
+    ``diag`` is the diagonal of the final, congruent diagonal matrix, so its
+    signs give the inertia.  A matrix whose pivots never vanish (a definite
+    one) never folds: its pivots come in index order and
+    ``sym = U^T diag(diag) U`` for the unit upper triangular ``U`` with
+    ``U[k][i] = ratios[k][i]`` above the diagonal.
     """
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    n = len(sym)
+    a = [list(row) for row in sym]
+    ratios = [[0] * n for _ in range(n)]
     active = list(range(n))
-    pos = neg = zero = 0
     while active:
         k = next((i for i in active if a[i][i] != 0), None)
         if k is None:
-            # all active diagonal entries vanish: either the block is zero,
-            # or an off-diagonal entry can be folded onto the diagonal
             pair = next(
                 ((i, j) for i in active for j in active if j != i and a[i][j] != 0),
                 None,
             )
-            if pair is None:
-                zero += len(active)
+            if pair is None:  # the remaining block is zero
                 break
             i, j = pair
-            for c in range(n):
+            for c in active:
                 a[i][c] += a[j][c]
-            for r in range(n):
+            for r in active:
                 a[r][i] += a[r][j]
             continue
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
         active.remove(k)
+        pivot, d = a[k], a[k][k]
+        # only the remaining block is read again: it becomes the Schur complement
         for i in active:
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for c in range(n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k]
-    return pos, neg, zero
+            if pivot[i] != 0:
+                f = ratios[k][i] = Fraction(pivot[i], d)
+                row = a[i]
+                for c in active:
+                    row[c] -= f * pivot[c]
+    return tuple(a[i][i] for i in range(n)), ratios
+
+
+def signature(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric matrix, exactly."""
+    diag = ldl(gram)[0]
+    return sum(d > 0 for d in diag), sum(d < 0 for d in diag), sum(d == 0 for d in diag)
 
 
 def split_linear_form(c):

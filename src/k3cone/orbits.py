@@ -9,7 +9,7 @@ Canonicalization is reduce-into-the-domain: walk into the chamber, then
 descend into the Sterk domain by the generators and the inverses of its
 cuts.  Distinct reduced representatives can still lie in one orbit when
 they sit on the domain boundary, so a bounded breadth-first ball over
-generator words (length <= 4) merges such coincidences; the class
+generator words (length <= ``MERGE_DEPTH``) merges such coincidences; the class
 representative is the (degree, lex)-least member.
 Tables carry a stability flag — whether doubling the search bound changes
 the representative set — and are never silently claimed complete.
@@ -27,10 +27,8 @@ from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Vec, as_vector
-from .sterk import ORBIT_BOUND_FACTOR, SterkDomain, reduce_to_domain
-from .weyl import NefDescription, word_isometry
-
-MERGE_DEPTH = 4
+from .sterk import SterkDomain, reduce_to_domain
+from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription, word_isometry
 
 
 @dataclass(frozen=True)

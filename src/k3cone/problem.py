@@ -7,11 +7,12 @@ strings; inputs round-trip).  Errors are located: a malformed field raises
 ProblemFormatError naming it, and validation failures from the math layers
 are re-raised with a ``where`` attribute attached.
 
-The doubling ceiling is resolved once, at parse time: the K3CONE_CEILING
-environment variable, then ``bounds.ceiling``, then the library default.  A
-``Problem`` computes its chamber at that ceiling at most once, on first use;
-generator verification is such a use, so a file with generators pays for
-its walls while parsing and every later consumer reuses them.
+The bounds are resolved once, at parse time: the K3CONE_CEILING environment
+variable (for the ceiling), then the file's ``bounds``, then the defaults of
+the ``Bounds`` table.  A ``Problem`` computes its chamber at the resolved
+ceiling at most once, on first use; generator verification is such a use, so
+a file with generators pays for its walls while parsing and every later
+consumer reuses them.
 """
 
 from __future__ import annotations
@@ -20,24 +21,13 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import GeometryError, ProblemFormatError
 from .groups import GroupGenerators, SupersingularDatum, build_group
 from .lattice import Lattice, Mat, Vec, validate_problem
-from .weyl import DOUBLING_CEILING, NefDescription, nef_walls
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Optional per-problem overrides; None means the built-in default."""
-
-    ceiling: int | None = None
-    enumeration: int | None = None
-    samples: int | None = None
-    word_length: int | None = None
-    seed: int | None = None
+from .weyl import Bounds, NefDescription, nef_walls
 
 
 @dataclass(frozen=True)
@@ -46,14 +36,13 @@ class Problem:
     ample: Vec
     generator_matrices: tuple[Mat, ...]
     supersingular: SupersingularDatum | None
-    bounds: Bounds
-    ceiling: int  # the resolved doubling ceiling
+    bounds: Bounds  # resolved: the file's values over the defaults
     digest: str
 
     @cached_property
     def nef(self) -> NefDescription:
         """The chamber at the resolved ceiling, computed on first use."""
-        return nef_walls(self.lattice, self.ample, ceiling=self.ceiling)
+        return nef_walls(self.lattice, self.ample, ceiling=self.bounds.ceiling)
 
     @cached_property
     def group(self) -> GroupGenerators:
@@ -103,19 +92,6 @@ def _matrix_from(value, rank: int, where: str) -> Mat:
 def _located(err: GeometryError, where: str):
     err.where = where
     return err
-
-
-def _resolve_ceiling(bounds: Bounds) -> int:
-    env = os.environ.get("K3CONE_CEILING")
-    if env is None:
-        return DOUBLING_CEILING if bounds.ceiling is None else bounds.ceiling
-    try:
-        value = int(env)
-    except ValueError:
-        raise GeometryError(f"K3CONE_CEILING must be an integer, got {env!r}") from None
-    if value < 0:
-        raise GeometryError("K3CONE_CEILING must be non-negative")
-    return value
 
 
 def parse_problem(data) -> Problem:
@@ -201,6 +177,12 @@ def parse_problem(data) -> Problem:
             if k != "seed" and v < 0:
                 raise ProblemFormatError(f"bounds.{k}", "must be non-negative")
         bounds = Bounds(**values)
+    env = os.environ.get("K3CONE_CEILING")
+    if env is not None:  # the variable beats the file
+        ceiling = _int_from(env, "K3CONE_CEILING")
+        if ceiling < 0:
+            raise ProblemFormatError("K3CONE_CEILING", "must be non-negative")
+        bounds = replace(bounds, ceiling=ceiling)
 
     canonical = raw_text if raw_text is not None else json.dumps(
         data, sort_keys=True, separators=(",", ":")
@@ -212,7 +194,6 @@ def parse_problem(data) -> Problem:
         generator_matrices=tuple(matrices),
         supersingular=supersingular,
         bounds=bounds,
-        ceiling=_resolve_ceiling(bounds),
         digest=digest,
     )
     try:
@@ -224,7 +205,10 @@ def parse_problem(data) -> Problem:
 
 
 def serialize_problem(problem: Problem) -> dict:
-    """Canonical problem dict with every integer as a decimal string."""
+    """Canonical problem dict with every integer as a decimal string.
+
+    ``bounds`` holds the resolved values, so parsing the dict gives them back.
+    """
     out = {
         "rank": str(problem.lattice.rank),
         "gram": [[str(x) for x in row] for row in problem.lattice.gram],
@@ -239,11 +223,5 @@ def serialize_problem(problem: Problem) -> dict:
             "p": str(problem.supersingular.prime),
             "k_basis": [[str(c) for c in b] for b in problem.supersingular.basis],
         }
-    bounds = {
-        k: str(v)
-        for k, v in vars(problem.bounds).items()
-        if v is not None
-    }
-    if bounds:
-        out["bounds"] = bounds
+    out["bounds"] = {k: str(v) for k, v in vars(problem.bounds).items() if v is not None}
     return out

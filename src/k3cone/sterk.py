@@ -36,9 +36,7 @@ from .cones import (
 from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
-from .weyl import DOUBLING_CEILING, NefDescription, _nef_rays, walk_to_nef
-
-ORBIT_BOUND_FACTOR = 4  # default orbit and class degree bound, as a multiple of H^2
+from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, walk_to_nef
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def sterk_domain(
     group: GroupGenerators,
     nef: NefDescription,
     bound: int | None = None,
-    ceiling: int = DOUBLING_CEILING,
+    ceiling: int = Bounds.ceiling,
 ) -> SterkDomain:
     ample = as_vector(ample, lat.rank, "ample class")
     chamber = nef.cone.normals if nef.complete else nef.walls
@@ -213,9 +211,9 @@ def verify_fundamental(
     group: GroupGenerators,
     domain: SterkDomain,
     nef: NefDescription,
-    samples: int = 200,
-    word_length: int = 3,
-    seed: int = 0,
+    samples: int = Bounds.samples,
+    word_length: int = Bounds.word_length,
+    seed: int = Bounds.seed,
 ) -> FundamentalCertificate:
     """Sampled coverage plus pairwise-disjointness of word translates.
 

@@ -70,8 +70,30 @@ from .enumeration import (
 from .errors import BrokenInvariant, GeometryError
 from .lattice import Isometry, Lattice, Vec, as_vector, reflection_matrix
 
-DOUBLING_CEILING = 12  # default number of bound doublings before giving up
+
+@dataclass(frozen=True)
+class Bounds:
+    """The table of default bounds; its class attributes are the defaults.
+
+    ``ceiling`` counts the bound doublings a search makes before it gives up;
+    ``enumeration`` is the degree bound of root and orbit-table searches
+    (None: a multiple of H^2, below); ``samples``, ``word_length`` and
+    ``seed`` drive ``verify_fundamental``'s sampled checks.  A problem file's
+    ``bounds`` overrides them (``problem.parse_problem``).
+    """
+
+    ceiling: int = 12
+    enumeration: int | None = None
+    samples: int = 200
+    word_length: int = 3
+    seed: int = 0
+
+
 ROOT_BOUND_FACTOR = 2  # the first root-degree bound, as a multiple of H^2
+ORBIT_BOUND_FACTOR = 4  # the orbit and class degree bound, as a multiple of H^2
+MERGE_DEPTH = 4  # the word length of the balls that merge orbit classes
+ISOTROPY_BOX = 10  # the coordinate box of the isotropic search
+DOT_WORD_LENGTH = 2  # the word length of the translates drawn by ``sterk --dot``
 
 
 @dataclass(frozen=True)
@@ -267,7 +289,7 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     if lat.pairing(ample, ample) <= 0:
         raise GeometryError("wall discovery needs an ample class of positive norm")
     check_off_walls(lat, ample)
-    ceiling = DOUBLING_CEILING if ceiling is None else ceiling
+    ceiling = Bounds.ceiling if ceiling is None else ceiling
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     first = ROOT_BOUND_FACTOR * lat.norm(ample)

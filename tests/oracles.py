@@ -89,6 +89,20 @@ def box_isotropics(gram, ample, box, max_degree=None):
     return sorted(v for v in map(tuple, pts[keep].tolist()) if is_primitive(v))
 
 
+def inertia_by_eigenvalues(matrix):
+    """(positive, negative, zero) counts of the eigenvalues of a symmetric matrix.
+
+    For integer entries of size <= 5 and n <= 6 every eigenvalue is at most 30
+    in size, and the product of the non-zero ones is a non-zero integer, so a
+    non-zero eigenvalue exceeds 30**-5 > 1e-8 in size; floating-point error
+    stays far below the 1e-9 cut-off.
+    """
+    values = np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
+    pos = int(np.sum(values > 1e-9))
+    neg = int(np.sum(values < -1e-9))
+    return pos, neg, len(values) - pos - neg
+
+
 def residue_obstruction(gram, value, modulus):
     """True when norm(x) == value has no solution even modulo `modulus`.
 

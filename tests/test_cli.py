@@ -314,6 +314,17 @@ def test_ceiling_env_invalid_exits_1(monkeypatch, capsys):
     assert "K3CONE_CEILING" in err["message"]
 
 
+@pytest.mark.parametrize("value", [" 3", "+3", "1_0", "\u0663"])
+def test_ceiling_env_takes_a_decimal_integer_only(monkeypatch, capsys, value):
+    """The variable follows the file's rule, -?[0-9]+, which int() is looser than."""
+    monkeypatch.setenv("K3CONE_CEILING", value)
+    code, rep, err = run(capsys, "validate", L_U)
+    assert code == 1
+    assert "K3CONE_CEILING" in err["message"]
+    monkeypatch.setenv("K3CONE_CEILING", "3")
+    assert run(capsys, "validate", L_U)[0] == 0
+
+
 def test_ceiling_env_zero_truncates_R_search(monkeypatch, capsys):
     monkeypatch.setenv("K3CONE_CEILING", "0")
     code, rep, _ = run(capsys, "walls", L_R)

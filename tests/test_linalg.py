@@ -1,0 +1,65 @@
+"""The symmetric eliminator: inertia against numpy, exact U^T D U on definite forms."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3cone import Lattice, classes_up_to_degree, linalg
+
+import oracles
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices, n = 1..6, some with a zero diagonal or singular."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-5, 5)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n > 1 and draw(st.booleans()):  # repeat a row and its column
+        src, dst = draw(st.permutations(range(n)))[:2]
+        m[dst] = list(m[src])
+        for r in range(n):
+            m[r][dst] = m[r][src]
+    return m
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(m=symmetric_matrices())
+def test_signature_matches_eigenvalue_signs(m):
+    assert linalg.signature(m) == oracles.inertia_by_eigenvalues(m)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ),
+    sign=st.sampled_from((1, -1)),
+)
+def test_ldl_rebuilds_definite_matrices_exactly(b, sign):
+    """B^T B + I is definite: its pivots come in index order and U^T D U is it."""
+    n = len(b)
+    m = [
+        [sign * (sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    diag, ratios = linalg.ldl(m)
+    assert all(sign * d > 0 for d in diag)
+    u = [[1 if i == j else ratios[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
+    rebuilt = [
+        [sum(u[k][i] * diag[k] * u[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert rebuilt == m
+
+
+def test_rank_one_lattice_has_an_empty_slice_kernel():
+    """A rank-1 lattice's slice form is 0x0: definite, with no pivot at all."""
+    assert linalg.ldl(()) == ((), [])
+    assert classes_up_to_degree(Lattice(((2,),)), (1,), 2, 5) == ((1,),)

@@ -7,9 +7,12 @@ import pytest
 from k3cone import (
     AmpleOnWall,
     BadPrime,
+    Bounds,
     GeneratorRejected,
+    Lattice,
     OddLattice,
     ProblemFormatError,
+    nef_walls,
     parse_problem,
     serialize_problem,
 )
@@ -98,7 +101,8 @@ def test_booleans_are_not_integers():
     assert exc.value.where == "gram[0][1]"
 
 
-def test_bounds_block():
+def test_bounds_block(monkeypatch):
+    monkeypatch.delenv("K3CONE_CEILING", raising=False)  # the variable beats the file
     p = parse_problem(make(bounds={"ceiling": 3, "seed": -5}))
     assert p.bounds.ceiling == 3
     assert p.bounds.seed == -5  # seeds may be negative
@@ -109,6 +113,37 @@ def test_bounds_block():
     with pytest.raises(ProblemFormatError) as exc:
         parse_problem(make(bounds={"weird": 1}))
     assert exc.value.where == "bounds.weird"
+
+
+# ---------------------------------------------------------------- the bounds table
+
+
+def test_no_bounds_block_gives_the_table(monkeypatch):
+    monkeypatch.delenv("K3CONE_CEILING", raising=False)
+    p = parse_problem(make())
+    assert p.bounds == Bounds()
+    assert (p.bounds.ceiling, p.bounds.samples, p.bounds.word_length, p.bounds.seed) == (
+        12, 200, 3, 0
+    )
+
+
+def test_ceiling_env_is_the_resolved_ceiling(monkeypatch):
+    monkeypatch.setenv("K3CONE_CEILING", "2")
+    p = parse_problem(make(bounds={"ceiling": 5, "samples": 7}))
+    assert p.bounds == Bounds(ceiling=2, samples=7)
+    assert parse_problem(json.dumps(serialize_problem(p))).bounds == p.bounds
+    assert serialize_problem(p)["bounds"] == {
+        "ceiling": "2", "samples": "7", "word_length": "3", "seed": "0"
+    }
+
+
+def test_nef_walls_none_means_the_default_ceiling(monkeypatch):
+    """diag(2,-4,-6) at (3,1,1) never certifies, so the ceiling sets the bound."""
+    lat, ample = Lattice(((2, 0, 0), (0, -4, 0), (0, 0, -6))), (3, 1, 1)
+    monkeypatch.setattr(Bounds, "ceiling", 1)
+    nef = nef_walls(lat, ample, None)
+    assert nef == nef_walls(lat, ample, 1)
+    assert not nef.complete and nef.certification_bound == 2 * 8 * 2
 
 
 # ---------------------------------------------------------------- located failures
