@@ -1,12 +1,15 @@
 """Command-line surface: one problem file in, one JSON report out.
 
-Exit codes: 0 success, 1 invalid input, 2 bound-limited result (every
-certificate that failed is false in the report, which is still emitted),
-3 internal error.  The env var K3CONE_CEILING overrides the doubling
-ceiling for this invocation, taking precedence over the problem file's
-``bounds.ceiling``.  It is resolved while the problem file is parsed, so
-it also governs generator verification, and every command rejects a
-malformed value with exit 1.
+Exit codes: 0 success, 1 invalid input or usage, 2 bound-limited result
+(every certificate that failed is false in the report, which is still
+emitted), 3 internal error.  The handlers return plain values, and
+``build_report`` writes every integer as a decimal string.  The env var
+K3CONE_CEILING overrides the doubling ceiling for this invocation, taking
+precedence over the problem file's ``bounds.ceiling``.  It is resolved
+while the problem file is parsed, so it also governs generator
+verification, and every command rejects a malformed value with exit 1.
+Integer options and ``--class`` coordinates follow the problem file's
+rule, ``-?[0-9]+``.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ from pathlib import Path
 
 from . import report as rpt
 from .cones import intersection, transform_cone
-from .enumeration import (
-    check_positive_closure,
-    roots_up_to_degree,
-    separating_roots,
-)
+from .enumeration import roots_up_to_degree, separating_roots
 from .errors import BoundExhausted, BrokenInvariant, GeometryError
 from .groups import filter_preserving_K
 from .orbits import (
@@ -33,7 +32,7 @@ from .orbits import (
     genus_orbits,
     nodal_orbits,
 )
-from .problem import Problem, parse_problem
+from .problem import Problem, _int_from, _vector_from, parse_problem
 from .sterk import (
     SterkDomain,
     group_words,
@@ -45,14 +44,9 @@ from .weyl import DOT_WORD_LENGTH, ISOTROPY_BOX, ROOT_BOUND_FACTOR, walk_to_nef
 
 
 def _parse_class(text: str, rank: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.strip().lstrip("[(").rstrip(")]").split(",")]
-    try:
-        vec = tuple(int(p) for p in parts)
-    except ValueError:
-        raise GeometryError(f"cannot parse class vector from {text!r}") from None
-    if len(vec) != rank:
-        raise GeometryError(f"class vector needs {rank} coordinates, got {len(vec)}")
-    return vec
+    """The --class value, by the problem file's rule for vectors."""
+    parts = text.strip().lstrip("[(").rstrip(")]").split(",")
+    return _vector_from([p.strip() for p in parts], rank, "--class")
 
 
 def _enum_bound(problem: Problem, flag):
@@ -68,25 +62,34 @@ def _nef_certificates(nef) -> dict:
     return {"complete": nef.complete, "stable": nef.stable}
 
 
-def _domain(problem: Problem) -> SterkDomain:
-    return sterk_domain(
-        problem.lattice, problem.ample, problem.group, problem.nef,
-        ceiling=problem.bounds.ceiling,
-    )
+def _domain(problem: Problem) -> tuple[SterkDomain | None, list[str]]:
+    """The Sterk domain and the warnings that go with it.
+
+    When the ceiling runs out, the domain is the partial one or None, and the
+    warnings hold the ``BoundExhausted`` message.
+    """
+    try:
+        domain = sterk_domain(
+            problem.lattice, problem.ample, problem.group, problem.nef,
+            ceiling=problem.bounds.ceiling,
+        )
+    except BoundExhausted as e:
+        return e.partial, [str(e)]
+    return domain, []
 
 
 def _cmd_validate(problem: Problem, args):
     lat = problem.lattice
     results = {
-        "rank": str(lat.rank),
-        "signature": ["1", str(lat.rank - 1)],
-        "ample": rpt.encode(problem.ample),
-        "ample_norm": str(lat.norm(problem.ample)),
-        "generators_verified": str(len(problem.generator_matrices)),
-        "group_size": str(len(problem.group.gens)),
+        "rank": lat.rank,
+        "signature": (1, lat.rank - 1),
+        "ample": problem.ample,
+        "ample_norm": lat.norm(problem.ample),
+        "generators_verified": len(problem.generator_matrices),
+        "group_size": len(problem.group.gens),
         "supersingular_prime": None
         if problem.supersingular is None
-        else str(problem.supersingular.prime),
+        else problem.supersingular.prime,
     }
     return results, {}, []
 
@@ -96,11 +99,7 @@ def _cmd_roots(problem: Problem, args):
     if bound is None:
         bound = ROOT_BOUND_FACTOR * problem.lattice.norm(problem.ample)
     roots = roots_up_to_degree(problem.lattice, problem.ample, bound)
-    results = {
-        "bound": str(bound),
-        "count": str(len(roots)),
-        "roots": rpt.encode(roots),
-    }
+    results = {"bound": bound, "count": len(roots), "roots": roots}
     return results, {"complete": True}, []
 
 
@@ -121,23 +120,18 @@ def _cmd_walk(problem: Problem, args):
     start = _parse_class(args.cls, problem.lattice.rank)
     endpoint, word = walk_to_nef(problem.lattice, problem.ample, start)
     results = {
-        "start": rpt.encode(start),
-        "endpoint": rpt.encode(endpoint),
-        "reflections": rpt.encode(word),
-        "steps": str(len(word)),
+        "start": start,
+        "endpoint": endpoint,
+        "reflections": word,
+        "steps": len(word),
     }
     return results, {}, []
 
 
 def _cmd_nef_test(problem: Problem, args):
     x = _parse_class(args.cls, problem.lattice.rank)
-    check_positive_closure(problem.lattice, problem.ample, x)
     seps = separating_roots(problem.lattice, problem.ample, x)
-    results = {
-        "class": rpt.encode(x),
-        "nef": not seps,
-        "separating_roots": rpt.encode(seps),
-    }
+    results = {"class": x, "nef": not seps, "separating_roots": seps}
     return results, {}, []
 
 
@@ -161,15 +155,9 @@ def _dot_graph(problem: Problem, domain: SterkDomain) -> str:
 
 
 def _cmd_sterk(problem: Problem, args):
-    warnings = []
-    try:
-        domain = _domain(problem)
-    except BoundExhausted as e:
-        domain = e.partial
-        if domain is None:
-            results = {"domain": None, "fundamental": None}
-            return results, {"saturated": False}, [str(e)]
-        warnings.append(str(e))
+    domain, warnings = _domain(problem)
+    if domain is None:
+        return {"domain": None, "fundamental": None}, {"saturated": False}, warnings
     bounds = problem.bounds
     cert = verify_fundamental(
         problem.lattice, problem.ample, problem.group, domain, problem.nef,
@@ -194,12 +182,7 @@ def _cmd_sterk(problem: Problem, args):
 
 def _cmd_reduce(problem: Problem, args):
     x = _parse_class(args.cls, problem.lattice.rank)
-    warnings = []
-    try:
-        domain = _domain(problem)
-    except BoundExhausted as e:
-        domain = e.partial
-        warnings.append(str(e))
+    domain, warnings = _domain(problem)
     if domain is None:
         # no domain to reduce into: report how far the chamber walk gets
         endpoint, reflections = walk_to_nef(problem.lattice, problem.ample, x, problem.nef)
@@ -211,30 +194,23 @@ def _cmd_reduce(problem: Problem, args):
             problem.lattice, problem.ample, problem.group, domain, x
         )
     results = {
-        "start": rpt.encode(x),
-        "endpoint": rpt.encode(endpoint),
-        "reflections": rpt.encode(reflections),
-        "word": [str(i) for i in word],
+        "start": x,
+        "endpoint": endpoint,
+        "reflections": reflections,
+        "word": word,
     }
     return results, certificates, warnings
-
-
-def _empty_table_payload(kind: str, genus) -> dict:
-    return rpt.table_payload(
-        OrbitTable(kind, genus, (), None, False)
-    )
 
 
 def _cmd_orbits(problem: Problem, args):
     bound = _enum_bound(problem, args.bound)
     lat, ample, group, nef = problem.lattice, problem.ample, problem.group, problem.nef
-    warnings = []
-    try:
-        domain = _domain(problem)
-    except BoundExhausted as e:
+    domain, warnings = _domain(problem)
+    if domain is None or not domain.saturated:
+        # an unsaturated domain is not a fundamental domain: no table is read from it
         genus = args.genus if args.kind == "genus" else None
-        results = _empty_table_payload(args.kind, genus)
-        return results, {"saturated": False, "stable": False}, [str(e)]
+        table = OrbitTable(args.kind, genus, (), None, False)
+        return rpt.table_payload(table), {"saturated": False, "stable": False}, warnings
     if args.kind == "nodal":
         table = nodal_orbits(lat, ample, group, nef, domain)
     elif args.kind == "elliptic":
@@ -257,11 +233,7 @@ def _cmd_isotropic(problem: Problem, args):
         warnings.append(f"no isotropic vector with coordinates up to {box}; not a proof of absence")
         if problem.lattice.rank >= 5:
             warnings.append(ISOTROPY_ADVICE)
-    results = {
-        "bound": str(box),
-        "found": None if found is None else rpt.encode(found),
-    }
-    return results, {"found": found is not None}, warnings
+    return {"bound": box, "found": found}, {"found": found is not None}, warnings
 
 
 def _cmd_filter_k(problem: Problem, args):
@@ -271,9 +243,9 @@ def _cmd_filter_k(problem: Problem, args):
     kept_set = {g.matrix for g in kept}
     dropped = [g.matrix for g in problem.group.gens if g.matrix not in kept_set]
     results = {
-        "prime": str(problem.supersingular.prime),
-        "kept": rpt.encode([g.matrix for g in kept]),
-        "dropped": rpt.encode(dropped),
+        "prime": problem.supersingular.prime,
+        "kept": [g.matrix for g in kept],
+        "dropped": dropped,
     }
     return results, {}, []
 
@@ -299,11 +271,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(text: str) -> int:  # argparse names the type in its message
+        return _int_from(text, "option")
+
     def common(p, with_bound=False, with_class=False):
         p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--out", help="write the report here instead of stdout")
         if with_bound:
-            p.add_argument("--bound", type=int, default=None)
+            p.add_argument("--bound", type=integer, default=None)
         if with_class:
             p.add_argument("--class", dest="cls", required=True,
                            help="comma-separated integer coordinates")
@@ -318,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
            with_class=True)
     p = sub.add_parser("sterk", help="fundamental domain and its certificates")
     common(p)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=integer, default=None,
                    help="seed for sampled verification (overrides bounds.seed)")
     p.add_argument("--dot", help="write chamber adjacency graph to this file")
     common(sub.add_parser("reduce", help="reduce a class into the domain"),
@@ -326,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="orbit table for a class kind")
     common(p, with_bound=True)
     p.add_argument("--kind", choices=["nodal", "elliptic", "genus"], required=True)
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--genus", type=integer, default=None)
     common(sub.add_parser("isotropic", help="bounded isotropic vector search"),
            with_bound=True)
     common(sub.add_parser("filter-k", help="generators preserving the mod-p subspace"))
@@ -342,15 +317,13 @@ def _emit_error(kind: str, err: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        text = Path(args.problem).read_text(encoding="utf-8")
-    except OSError as e:
-        _emit_error("input", e)
-        return 1
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # argparse's usage exit is 2, which means a false certificate
+        return 1 if e.code else 0
     try:
-        problem = parse_problem(text)
-    except GeometryError as e:
+        problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
+    except (OSError, GeometryError) as e:
         _emit_error("input", e)
         return 1
     try:

@@ -27,6 +27,7 @@ from functools import cached_property
 from .errors import GeometryError, ProblemFormatError
 from .groups import GroupGenerators, SupersingularDatum, build_group
 from .lattice import Lattice, Mat, Vec, validate_problem
+from .report import encode
 from .weyl import Bounds, NefDescription, nef_walls
 
 
@@ -210,18 +211,16 @@ def serialize_problem(problem: Problem) -> dict:
     ``bounds`` holds the resolved values, so parsing the dict gives them back.
     """
     out = {
-        "rank": str(problem.lattice.rank),
-        "gram": [[str(x) for x in row] for row in problem.lattice.gram],
-        "ample": [str(x) for x in problem.ample],
+        "rank": problem.lattice.rank,
+        "gram": problem.lattice.gram,
+        "ample": problem.ample,
     }
     if problem.generator_matrices:
-        out["generators"] = [
-            [[str(x) for x in row] for row in m] for m in problem.generator_matrices
-        ]
+        out["generators"] = problem.generator_matrices
     if problem.supersingular is not None:
         out["supersingular"] = {
-            "p": str(problem.supersingular.prime),
-            "k_basis": [[str(c) for c in b] for b in problem.supersingular.basis],
+            "p": problem.supersingular.prime,
+            "k_basis": problem.supersingular.basis,
         }
-    out["bounds"] = {k: str(v) for k, v in vars(problem.bounds).items() if v is not None}
-    return out
+    out["bounds"] = {k: v for k, v in vars(problem.bounds).items() if v is not None}
+    return encode(out)

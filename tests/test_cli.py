@@ -161,8 +161,7 @@ def test_sterk_echoes_zero_valued_bounds(tmp_path, capsys):
 
 
 def test_seed_flag_only_on_sterk():
-    with pytest.raises(SystemExit):  # argparse rejects the unknown flag
-        main(["walls", L_P, "--seed", "7"])
+    assert main(["walls", L_P, "--seed", "7"]) == 1  # argparse rejects the unknown flag
 
 
 def test_reduce(capsys):
@@ -174,19 +173,85 @@ def test_reduce(capsys):
     assert rep["certificates"] == {"in_domain": True, "saturated": True}
 
 
-def test_reduce_without_a_domain_exits_2(tmp_path, capsys):
-    """With no generators the round L_R chamber never stabilizes a domain:
-    reduce reports the chamber walk as bound-limited, as sterk does."""
+CEILING_WARNING = "the orbit bound hit the doubling ceiling before the domain stabilized"
+EMPTY_TABLE = {"count": "0", "search_bound": None, "orbits": []}
+
+
+@pytest.fixture
+def l_r_bare(tmp_path):
+    """L_R without generators: the round chamber never gives a domain."""
     prob = tmp_path / "r.json"
     prob.write_text(json.dumps({"rank": 2, "gram": [[2, 7], [7, 2]], "ample": [1, 1]}))
-    code, rep = run_valid(capsys, "reduce", str(prob), "--class=1,3")
+    return str(prob)
+
+
+def test_reduce_without_a_domain_exits_2(l_r_bare, capsys):
+    """With no generators the round L_R chamber never stabilizes a domain:
+    reduce reports the chamber walk as bound-limited, as sterk does."""
+    code, rep = run_valid(capsys, "reduce", l_r_bare, "--class=1,3")
     assert code == 2
     assert rep["results"]["endpoint"] == ["1", "3"]
     assert rep["results"]["word"] == []
     assert rep["certificates"] == {"in_domain": False, "saturated": False}
-    assert rep["warnings"] == [
-        "the orbit bound hit the doubling ceiling before the domain stabilized"
-    ]
+    assert rep["warnings"] == [CEILING_WARNING]
+
+
+@pytest.fixture
+def partial_domain(monkeypatch):
+    """Make the CLI's domain search run out with L_P's partial domain attached.
+
+    No small problem file exhausts the ceiling with a partial domain, so the
+    exhaustion is borrowed from a search at orbit bound 1 and ceiling 0.
+    """
+    from k3cone import cli
+    from k3cone.errors import BoundExhausted
+
+    p = k3cone.parse_problem((PROBLEMS / "l_p.json").read_text())
+    with pytest.raises(BoundExhausted) as exc:
+        k3cone.sterk_domain(p.lattice, p.ample, p.group, p.nef, bound=1, ceiling=0)
+    assert exc.value.partial is not None
+
+    def exhausted(*args, **kwargs):
+        raise exc.value
+
+    monkeypatch.setattr(cli, "sterk_domain", exhausted)
+
+
+def test_sterk_without_a_domain_exits_2(l_r_bare, capsys):
+    code, rep = run_valid(capsys, "sterk", l_r_bare)
+    assert code == 2
+    assert rep["results"] == {"domain": None, "fundamental": None}
+    assert rep["certificates"] == {"saturated": False}
+    assert rep["warnings"] == [CEILING_WARNING]
+
+
+@pytest.mark.parametrize("kind", [("--kind", "nodal"), ("--kind", "genus", "--genus", "2")])
+def test_orbits_without_a_domain_report_the_empty_table(l_r_bare, capsys, kind):
+    code, rep = run_valid(capsys, "orbits", l_r_bare, *kind)
+    assert code == 2
+    assert {k: rep["results"][k] for k in EMPTY_TABLE} == EMPTY_TABLE
+    assert rep["results"]["genus"] == (None if kind[1] == "nodal" else "2")
+    assert rep["certificates"] == {"saturated": False, "stable": False}
+    assert rep["warnings"] == [CEILING_WARNING]
+
+
+def test_sterk_reports_a_partial_domain(partial_domain, capsys):
+    code, rep = run_valid(capsys, "sterk", L_P)
+    assert code == 2
+    dom = rep["results"]["domain"]
+    assert dom["rays"] == [["1", "0"], ["3", "4"]]
+    assert dom["orbit_bound"] == "1"
+    assert rep["results"]["fundamental"]["seed"] == "0"
+    assert rep["certificates"]["saturated"] is False
+    assert rep["warnings"] == [CEILING_WARNING]
+
+
+def test_orbits_on_a_partial_domain_report_the_empty_table(partial_domain, capsys):
+    code, rep = run_valid(capsys, "orbits", L_P, "--kind", "nodal")
+    assert code == 2
+    assert {k: rep["results"][k] for k in EMPTY_TABLE} == EMPTY_TABLE
+    assert rep["certificates"] == {"saturated": False, "stable": False}
+    assert rep["warnings"] == [CEILING_WARNING]
 
 
 def test_orbits_nodal(capsys):
@@ -279,6 +344,40 @@ def test_bad_class_argument_exits_1(capsys):
     code, rep, err = run(capsys, "walk", L_P, "--class=1,banana")
     assert code == 1
     assert err is not None
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("walk", L_P, "--class=1_0,3"), 1),
+    (("walk", L_P, "--class=\u0663,1"), 1),
+    (("nef-test", L_P, "--class=2,+1"), 1),
+    (("walk", L_P, "--class=8"), 1),
+    (("roots", L_P, "--bound", "1_0"), 1),
+    (("isotropic", L_U, "--bound", "\u0661"), 1),
+    (("orbits", L_R, "--kind", "genus", "--genus", "+2"), 1),
+    (("sterk", L_P, "--seed", " 7"), 1),
+    (("walk", L_P, "--class= [8, 11] "), 0),
+    (("roots", L_P, "--bound", "25"), 0),
+])
+def test_command_line_integers_follow_the_problem_file_rule(capsys, argv, expected):
+    """--class and the integer options take -?[0-9]+ only, which int() is looser than."""
+    assert main(list(argv)) == expected
+    out, err = capsys.readouterr()
+    if expected == 0:
+        assert json.loads(out)["results"]
+    elif argv[2].startswith("--class"):  # parsed against the problem's rank
+        assert json.loads(err)["where"].startswith("--class")
+    else:  # parsed with the options, so argparse reports it
+        assert out == "" and "invalid integer value" in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    """Exit 2 means a false certificate, so argparse's usage exit becomes 1."""
+    assert main(["roots", L_P, "--bound", "abc"]) == 1
+    assert main(["roots"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage:") == 2
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- output modes

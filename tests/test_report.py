@@ -3,6 +3,8 @@
 import pytest
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3cone import SCHEMA_VERSION, build_report, exit_code_for, report_schema
 from k3cone.report import cone_payload, encode, nef_payload
@@ -33,8 +35,8 @@ def test_encode_rejects_floats():
 
 
 def test_build_report_envelope():
-    # results arrive pre-encoded; the envelope passes them through untouched
-    results = encode({"roots": ((1, 2),), "bound": 8, "count": 1})
+    # results arrive as plain values; the envelope encodes them
+    results = {"roots": ((1, 2),), "bound": 8, "count": 1}
     rep = build_report("roots", DIGEST, results, {"complete": True}, ["note"])
     assert rep["schema_version"] == SCHEMA_VERSION
     assert rep["command"] == "roots"
@@ -42,6 +44,44 @@ def test_build_report_envelope():
     assert rep["results"]["roots"] == [["1", "2"]]
     assert rep["certificates"] == {"complete": True}
     assert rep["warnings"] == ["note"]
+
+
+# payloads as the handlers build them: ints of any size, bools, None and
+# strings, nested in tuples, lists and dicts
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(min_value=-(2**70), max_value=2**70),
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def leaves(value):
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from leaves(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from leaves(v)
+    else:
+        yield value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PAYLOADS)
+def test_build_report_encodes_once_and_idempotently(payload):
+    """Plain and already-encoded results give the same report; ints become
+    decimal strings, and every other leaf keeps its value."""
+    plain = build_report("roots", DIGEST, {"payload": payload}, {}, [])
+    assert plain == build_report("roots", DIGEST, {"payload": encode(payload)}, {}, [])
+    for before, after in zip(leaves(payload), leaves(plain["results"]["payload"])):
+        if isinstance(before, int) and not isinstance(before, bool):
+            assert after == str(before) and int(after) == before
+        else:
+            assert after is before or after == before
+    with pytest.raises(TypeError):
+        build_report("roots", DIGEST, {"payload": [payload, 0.5]}, {}, [])
 
 
 def test_build_report_sorts_certificates():
@@ -59,7 +99,7 @@ def test_exit_code_for():
 
 
 def roots_report():
-    results = encode({"roots": ((0, -1),), "bound": 8, "count": 1})
+    results = {"roots": ((0, -1),), "bound": 8, "count": 1}
     return build_report("roots", DIGEST, results, {"complete": True}, [])
 
 
