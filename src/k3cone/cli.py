@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         problem = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    except (OSError, GeometryError) as e:
+    except (OSError, UnicodeDecodeError, GeometryError) as e:
         _emit_error("input", e)
         return 1
     try:

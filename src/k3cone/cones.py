@@ -2,8 +2,8 @@
 
 Cones are cut out by pairing inequalities ``x . n >= 0`` whose normals ``n``
 are lattice vectors; the euclidean normal of such a wall is ``G n``.  All
-arithmetic is exact (integers and fractions), and rays come back primitive
-and lex-sorted.
+arithmetic is on integers, with fraction-free elimination for ranks and the
+canonical lineality, and rays come back primitive and lex-sorted.
 
 ``DoubleDescription`` is the one implementation of the incremental method
 (Fukuda & Prodon 1996).  Its state is the rays and lineality of the cone cut
@@ -31,9 +31,7 @@ sub-cones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import linalg
@@ -62,18 +60,6 @@ class RationalCone:
     def dimension(self) -> int:
         gens = list(self.rays) + list(self.lineality)
         return linalg.matrix_rank(gens) if gens else 0
-
-
-def _scaled_primitive(v):
-    """Clear denominators of a rational vector and divide out the content."""
-    denom = 1
-    for c in v:
-        d = Fraction(c).denominator
-        denom = denom * d // math.gcd(denom, d)
-    ints = [int(c * denom) for c in v]
-    if all(x == 0 for x in ints):
-        return None
-    return primitive_ray(ints)
 
 
 class DoubleDescription:
@@ -218,17 +204,10 @@ class DoubleDescription:
 
 
 def _canonical_lineality(lin):
-    if not lin:
-        return ()
-    rows, _ = linalg.rref(lin)
-    out = []
-    for row in rows:
-        v = _scaled_primitive(row)
-        lead = next(c for c in v if c != 0)
-        if lead < 0:
-            v = tuple(-x for x in v)
-        out.append(v)
-    return tuple(sorted(out))
+    """Primitive rows of the reduced echelon basis, each with a positive pivot."""
+    rows, _, d = linalg.echelon(lin)
+    sign = 1 if d > 0 else -1
+    return tuple(sorted(primitive_ray([sign * x for x in row]) for row in rows))
 
 
 def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:

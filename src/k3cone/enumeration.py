@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -63,8 +63,8 @@ class _Slice:
         d, ratios = linalg.ldl(neg)  # rational LDL^T, once per (L, H)
         if any(x <= 0 for x in d):
             raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
-        inv = linalg.inverse(neg)
-        delta = lcm(*(x.denominator for row in inv for x in row))
+        adj, det = linalg.scaled_inverse(neg)  # Q^-1 = adj / det, fraction-free
+        delta = abs(det) // gcd(det, *(x for row in adj for x in row))
         p = lcm(*(x.denominator for row in ratios for x in row))
         lc = lcm(*(x.denominator for x in d))
         self.pu = [[int(p * x) for x in row] for row in ratios]
@@ -73,7 +73,7 @@ class _Slice:
         # at degree k * content: delta * z = k * centre and
         # delta * radius = k^2 * quad - delta * norm
         lin = [lat._pair(self.base, b) for b in self.kernel]
-        self.centre = [sum(int(delta * x) * y for x, y in zip(row, lin)) for row in inv]
+        self.centre = [sum(map(mul, row, lin)) * delta // det for row in adj]
         self.quad = delta * lat._pair(self.base, self.base)
         self.quad += sum(map(mul, self.centre, lin))
         self.streams: dict[int, list] = {}

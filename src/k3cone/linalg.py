@@ -1,7 +1,9 @@
-"""Exact linear algebra over Python integers and fractions.
+"""Exact linear algebra over Python integers.
 
 Everything in here is dense and small: ambient ranks stay in single digits,
-so clarity wins over asymptotics.  No floats anywhere.
+so clarity wins over asymptotics.  No floats anywhere.  Row elimination is
+fraction-free (``echelon``); Fractions remain only in ``ldl``'s ratios and in
+``inverse``'s output.
 """
 
 from __future__ import annotations
@@ -55,51 +57,63 @@ def vec_gcd(v) -> int:
     return g
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Returns ``(rows, pivots, d)``: the non-zero rows of ``d`` times the
+    reduced row echelon form over Q, their pivot columns, and ``d``, the last
+    pivot (``d == 1`` when there is none).  Every entry is, up to sign, a
+    minor of the row-swapped input, so every division is exact and no
+    fraction is built; each pivot entry equals ``d``.
+    """
+    m = [list(row) for row in rows]
+    pivots, d, r = [], 1, 0
+    for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
-    return m[:r], pivots
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        pivot = m[r]
+        a = pivot[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(a * x - f * y) // d for x, y in zip(row, pivot)]
+        pivots.append(c)
+        d, r = a, r + 1
+    return m[:r], pivots, d
 
 
 def matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
+    return len(echelon(rows)[0])
+
+
+def scaled_inverse(m):
+    """``(adj, d)``: integer rows with ``m^-1 == adj / d``, where ``d == +-det(m)``.
+
+    Raises ``ZeroDivisionError`` when the square matrix ``m`` is singular.
+    """
+    n = len(m)
+    rows, pivots, d = echelon([list(row) + list(e) for row, e in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows), d
 
 
 def inverse(m):
     """Exact inverse of a nonsingular square matrix, as rows of Fractions."""
-    n = len(m)
-    rows, pivots = rref([list(row) + list(e) for row, e in zip(m, identity(n))])
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rows)
+    adj, d = scaled_inverse(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def invert_unimodular(m):
     """Exact inverse of an integer matrix with determinant +-1."""
-    inv = inverse(m)
-    if any(x.denominator != 1 for row in inv for x in row):
+    adj, d = scaled_inverse(m)
+    if abs(d) != 1:
         raise NotUnimodular("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def ldl(sym):

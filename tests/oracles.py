@@ -103,6 +103,40 @@ def inertia_by_eigenvalues(matrix):
     return pos, neg, len(values) - pos - neg
 
 
+def rref_over_q(rows):
+    """Reduced row echelon form by Fraction Gauss-Jordan: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def inverse_over_q(m):
+    """The inverse of a square matrix from ``rref_over_q``; singular raises."""
+    n = len(m)
+    rows, pivots = rref_over_q([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def residue_obstruction(gram, value, modulus):
     """True when norm(x) == value has no solution even modulo `modulus`.
 

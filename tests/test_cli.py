@@ -323,6 +323,17 @@ def test_missing_file_exits_1(capsys):
     assert err["type"] == "FileNotFoundError"
 
 
+def test_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    """A UTF-16 byte-order mark is not UTF-8: an input error, not a traceback."""
+    bom = tmp_path / "utf16.json"
+    bom.write_bytes(b"\xff\xfe" + (PROBLEMS / "l_p.json").read_text().encode("utf-16-le"))
+    code, rep, err = run(capsys, "validate", str(bom))
+    assert code == 1
+    assert rep is None
+    assert err["error"] == "input"
+    assert err["type"] == "UnicodeDecodeError"
+
+
 def test_bad_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -6,6 +6,7 @@ variable; the oracle just scans integer boxes with numpy.  Inside any box the
 two must agree exactly.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -211,6 +212,19 @@ def test_separating_degree_bound_equals_fraction_reference(seed, rank):
     for x in points:
         want = O.separating_degree_bound(lat.gram, ample, x)
         assert separating_degree_bound(lat, ample, x) == want, x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 6))
+def test_slice_setup_clears_the_rational_inverse(seed, rank):
+    """``delta`` is the lcm of the denominators of Q^-1, ``centre`` is delta Q^-1 lin."""
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank)
+    s = enumeration._Slice(lat, ample)
+    q = [[-lat.pairing(a, b) for b in s.kernel] for a in s.kernel]
+    lin = [lat.pairing(s.base, b) for b in s.kernel]
+    inv = O.inverse_over_q(q)
+    assert s.delta == math.lcm(*(x.denominator for row in inv for x in row))
+    assert s.centre == [s.delta * sum(x * y for x, y in zip(row, lin)) for row in inv]
 
 
 def test_separating_roots_equal_oracle_filter():

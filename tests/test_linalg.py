@@ -1,5 +1,11 @@
-"""The symmetric eliminator: inertia against numpy, exact U^T D U on definite forms."""
+"""The two eliminators.
 
+The symmetric one: inertia against numpy, exact U^T D U on definite forms.
+The fraction-free row one: ``echelon`` and ``inverse`` against the Fraction
+Gauss-Jordan of the oracles.
+"""
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +69,48 @@ def test_rank_one_lattice_has_an_empty_slice_kernel():
     """A rank-1 lattice's slice form is 0x0: definite, with no pivot at all."""
     assert linalg.ldl(()) == ((), [])
     assert classes_up_to_degree(Lattice(((2,),)), (1,), 2, 5) == ((1,),)
+
+
+@st.composite
+def integer_matrices(draw):
+    """1..7 x 1..8 integer matrices with entries up to 10^6, often rank-deficient:
+    zero rows, repeated rows and rows that are sums of two others."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    bound = draw(st.sampled_from((3, 100, 10**6)))
+    entry = st.integers(-bound, bound) | st.just(0)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "repeat", "sum")))
+        j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        if kind == "zero":
+            m[i] = [0] * cols
+        elif kind == "repeat":
+            m[i] = list(m[j])
+        elif kind == "sum":
+            m[i] = [x + y for x, y in zip(m[j], m[k])]
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=integer_matrices())
+def test_echelon_is_a_multiple_of_the_rational_rref(m):
+    rows, pivots, d = linalg.echelon(m)
+    want, want_pivots = oracles.rref_over_q(m)
+    assert pivots == want_pivots
+    assert rows == [[d * x for x in row] for row in want]
+    assert all(rows[i][c] == d for i, c in enumerate(pivots))
+    assert linalg.matrix_rank(m) == len(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=integer_matrices())
+def test_inverse_equals_the_rational_inverse(m):
+    n = min(len(m), len(m[0]))
+    square = [row[:n] for row in m[:n]]
+    try:
+        want = oracles.inverse_over_q(square)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inverse(square)
+        return
+    assert linalg.inverse(square) == want
