@@ -1,8 +1,8 @@
 """Exact chamber geometry for even hyperbolic lattices.
 
 Everything is exact integer arithmetic, and row elimination is fraction-free;
-Fractions remain only in the symmetric reduction's ratios and in
-``linalg.inverse``'s output.  Signatures come by symmetric congruence
+Fractions remain only in the ratios of the symmetric reduction
+(``linalg.ldl``).  Signatures come by symmetric congruence
 reduction, class enumeration by definite-slice search, cones by the double
 description method, chamber walks by reflection, fundamental domains by orbit
 cuts, and orbit tables by reduce-and-merge canonicalization.

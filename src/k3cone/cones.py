@@ -2,8 +2,8 @@
 
 Cones are cut out by pairing inequalities ``x . n >= 0`` whose normals ``n``
 are lattice vectors; the euclidean normal of such a wall is ``G n``.  All
-arithmetic is on integers, with fraction-free elimination for ranks and the
-canonical lineality, and rays come back primitive and lex-sorted.
+arithmetic is on integers, with fraction-free elimination for the canonical
+lineality, and rays come back primitive and lex-sorted.
 
 ``DoubleDescription`` is the one implementation of the incremental method
 (Fukuda & Prodon 1996).  Its state is the rays and lineality of the cone cut
@@ -14,15 +14,22 @@ state across its doublings and adds only the walls each doubling accepts.
 
 A row that vanishes on the lineality and on which no ray is negative is
 implied by the cone so far, and stays implied, because adding rows only
-shrinks the cone.  It is dropped without a step and never scanned again.
-Dropping it changes nothing downstream: an implied row is never a facet
-(facet normals of a full-dimensional cone are unique, and distinct primitive
-normals are never parallel), and the rank of the rows tight on a face is the
-same with or without rows the cone implies.  So the adjacency and facet tests
-look at the kept rows only.  Each ray carries the set of kept rows it is
-tight on, as a bit mask.  On a pointed cone two rays are adjacent exactly
-when no third ray is tight on every row they share (the combinatorial test);
-with lineality present the rank of the shared rows decides.
+shrinks the cone.  It is dropped without a step and never scanned again, so
+the kept rows alone cut out the cone.  Each ray carries the set of kept rows
+it is tight on, as a bit mask, and these masks are the only face test.
+
+They suffice because every kept row vanishes on the current lineality L: a
+row that needs no pivot already vanishes on L, and a pivot step shrinks L to
+the new row's hyperplane.  So the rows factor through the pointed quotient
+C/L, the rays stand for its extreme rays, and the masks give its face
+lattice.  Three consequences:
+
+* two rays are adjacent exactly when no third ray is tight on every row
+  they share (the combinatorial test);
+* the facets are the rows whose tight-ray sets are maximal among the kept
+  rows' sets; a half-space's single row is tight on no ray and is its facet;
+* the cone is full-dimensional exactly when no kept row is tight on every
+  ray: a system without an implicit equality has an interior point.
 
 The round positive cone is never materialized here; callers that need it use
 the predicate ``x.x >= 0 and x.H > 0`` directly and only hand in polyhedral
@@ -32,7 +39,8 @@ sub-cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 from . import linalg
 from .errors import GeometryError, ZeroVector
@@ -102,12 +110,8 @@ class DoubleDescription:
                 w = tuple(ap * x - dot * p for x, p in zip(v, pivot))
                 return primitive_ray(w) if any(w) else None
 
-            opposite = tuple(-x for x in pivot)
-            lin = [
-                project(l, lat._pair(n, l))
-                for l in self.lineality
-                if l != pivot and l != opposite
-            ]
+            # the pivot itself projects to zero and drops out
+            lin = [project(l, lat._pair(n, l)) for l in self.lineality]
             # earlier rows vanish on the pivot, so a projected ray keeps its
             # tight set and gains this row; the pivot is tight on every earlier row
             fresh: dict[Vec, int] = {}
@@ -152,55 +156,45 @@ class DoubleDescription:
 
     def _adjacent(self, i: int, j: int, common: int) -> bool:
         """Whether rays i and j span a 2-face, given the rows tight on both."""
-        want = self.lat.rank - len(self.lineality) - 2
-        if common.bit_count() < want:
+        if common.bit_count() < self.lat.rank - len(self.lineality) - 2:
             return False
-        if not self.lineality:
-            # pointed: the 2-face of i and j has no third extreme ray
-            return not any(
-                m & common == common
-                for k, m in enumerate(self.masks)
-                if k != i and k != j
-            )
-        tight = [c for k, c in enumerate(self.normals) if common >> k & 1]
-        return linalg.matrix_rank(tight) == want if tight else want == 0
+        # the 2-face of i and j has no third extreme ray
+        return not any(
+            m & common == common for k, m in enumerate(self.masks) if k != i and k != j
+        )
 
     def facets(self) -> tuple[Vec, ...]:
-        """The kept normals tight on a full facet, sorted (full-dimensional cones)."""
-        if not self.lineality:
-            # pointed: a row's tight rays span its face, and every smaller
-            # face lies in a facet, whose tight rays form a strictly larger set
-            faces = [
-                sum(1 << i for i, m in enumerate(self.masks) if m >> k & 1)
-                for k in range(len(self.normals))
-            ]
-            return tuple(sorted(
-                n for n, f in zip(self.normals, faces)
-                if f and not any(f & g == f and f != g for g in faces)
-            ))
-        rank, out = self.lat.rank, []
-        for k, n in enumerate(self.normals):
-            tight = [r for r, m in zip(self.rays, self.masks) if m >> k & 1]
-            tight += self.lineality
-            if tight and linalg.matrix_rank(tight) == rank - 1:
-                out.append(n)
-        return tuple(sorted(out))
+        """The kept normals tight on a full facet, sorted (full-dimensional cones).
 
-    def cone(self, normals=None) -> RationalCone:
-        """The cone so far: sorted rays, canonical lineality, facet normals.
-
-        The stored normals are the facets when the cone is pointed and
-        full-dimensional, and otherwise ``normals`` (default: the kept rows).
+        A row's tight rays span its face modulo the lineality, and every
+        proper face lies in a facet, whose tight rays form a larger set.
         """
-        rank = self.lat.rank
-        rays = tuple(sorted(self.rays))
-        lineality = _canonical_lineality(self.lineality)
-        full_dim = linalg.matrix_rank(list(rays) + list(lineality)) == rank
-        if full_dim and not lineality:
-            stored = self.facets()
-        else:
-            stored = tuple(sorted(self.normals if normals is None else normals))
-        return RationalCone(rank, stored, rays, lineality, full_dim)
+        faces = [
+            sum(1 << i for i, m in enumerate(self.masks) if m >> k & 1)
+            for k in range(len(self.normals))
+        ]
+        return tuple(sorted(
+            n for n, f in zip(self.normals, faces)
+            if not any(f & g == f and f != g for g in faces)
+        ))
+
+    def cone(self) -> RationalCone:
+        """The cone so far: sorted rays, canonical lineality, stored normals.
+
+        The stored normals are the facets when the cone is full-dimensional
+        and the kept rows otherwise.  A row the earlier rows implied is not
+        kept, so a cone of lower dimension can store fewer rows than it was
+        given.
+        """
+        full_dim = not reduce(and_, self.masks, (1 << len(self.normals)) - 1)
+        stored = self.facets() if full_dim else tuple(sorted(self.normals))
+        return RationalCone(
+            self.lat.rank,
+            stored,
+            tuple(sorted(self.rays)),
+            _canonical_lineality(self.lineality),
+            full_dim,
+        )
 
 
 def _canonical_lineality(lin):
@@ -213,9 +207,13 @@ def _canonical_lineality(lin):
 def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
     """The cone {x : x . n >= 0 for every normal n}.
 
-    Stored normals are the irredundant facet set when the result is pointed
-    and full-dimensional, the deduplicated input otherwise.  No normals at
-    all yields the full space, flagged via ``is_full_space``.
+    Stored normals are the irredundant facet set when the result is
+    full-dimensional, lineality or not: on diag(2, -2, -4) the rows
+    (1, 0, 0), (0, 1, 0) and (1, 1, 0) cut out a wedge with lineality, and
+    only the first two are stored.  Otherwise they are the primitive rows the
+    double description kept, which cut out the same cone but omit each row
+    the rows before it imply.  No normals at all yields the full space,
+    flagged via ``is_full_space``.
     """
     seen: dict[Vec, None] = {}
     for n in normals:
@@ -225,7 +223,7 @@ def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
         seen[primitive_ray(v)] = None
     dd = DoubleDescription(lat)
     dd.add(seen)
-    return dd.cone(seen)
+    return dd.cone()
 
 
 def contains(lat: Lattice, cone: RationalCone, x) -> bool:

@@ -31,7 +31,7 @@ from .errors import (
     GeneratorRejected,
     NotAnIsometry,
 )
-from .lattice import Isometry, Lattice, Mat, Vec, as_vector
+from .lattice import Isometry, Lattice, Mat, Vec, _as_int, as_vector
 from .weyl import NefDescription, nef_test
 
 
@@ -98,10 +98,10 @@ def build_group(
     without one it is skipped (the chamber test already implies it).
     Inverses of verified generators are themselves chamber-preserving (the
     chamber is carried bijectively onto itself), so they are added without
-    re-checking.
+    re-checking.  A matrix with an entry that is not an ``int`` (a bool, a
+    float) fails every check, as ``verify_generator`` reports it.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    matrices = [tuple(tuple(int(x) for x in row) for row in m) for m in matrices]
     tagged: dict[Mat, str] = {}
     inverse: dict[Mat, Mat] = {}
     for i, m in enumerate(matrices):
@@ -193,7 +193,9 @@ class SupersingularDatum:
     def __post_init__(self):
         if not _is_prime(self.prime) or self.prime == 2:
             raise BadPrime(f"{self.prime} is not an odd prime")
-        basis = tuple(tuple(int(c) % self.prime for c in b) for b in self.basis)
+        basis = tuple(
+            tuple(_as_int(c, "basis entry") % self.prime for c in b) for b in self.basis
+        )
         object.__setattr__(self, "basis", basis)
         if not basis:
             raise DegenerateBasis("the subspace needs at least one basis vector")
@@ -208,7 +210,7 @@ def preserves_K(lat: Lattice, datum: SupersingularDatum, matrix) -> bool:
     """Whether the matrix reduction maps K into K over F_p."""
     if len(datum.basis[0]) != lat.rank:
         raise DimensionMismatch("subspace basis length differs from the rank")
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
+    m = tuple(tuple(_as_int(x, "matrix entry") for x in row) for row in matrix)
     if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
         raise DimensionMismatch(f"matrix must be {lat.rank}x{lat.rank}")
     # K is spanned by an independent basis, so an image lies in K exactly

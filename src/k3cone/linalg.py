@@ -2,8 +2,8 @@
 
 Everything in here is dense and small: ambient ranks stay in single digits,
 so clarity wins over asymptotics.  No floats anywhere.  Row elimination is
-fraction-free (``echelon``); Fractions remain only in ``ldl``'s ratios and in
-``inverse``'s output.
+fraction-free (``echelon``), and inverses come scaled to integers
+(``scaled_inverse``); Fractions remain only in ``ldl``'s ratios.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ def scaled_inverse(m):
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows), d
-
-
-def inverse(m):
-    """Exact inverse of a nonsingular square matrix, as rows of Fractions."""
-    adj, d = scaled_inverse(m)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def invert_unimodular(m):

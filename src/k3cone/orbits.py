@@ -28,7 +28,7 @@ from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Vec, as_vector
 from .sterk import SterkDomain, reduce_to_domain
-from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription, word_isometry
+from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,19 @@ def nodal_orbits(
     if not nef.walls:
         return OrbitTable("nodal", None, (), nef.certification_bound, stable)
     witnesses = dict(nef.witnesses)
+    mats = group.matrices()
     reduced: dict[Vec, list] = {}
     for wall in nef.walls:
         witness = witnesses.get(wall)
         if witness is None:
             raise GeometryError(f"no facet witness recorded for wall {wall}")
         _, reflections, word = reduce_to_domain(lat, ample, group, domain, witness)
-        iso = word_isometry(lat, reflections)
+        canonical = wall
+        for delta in reflections:  # s_delta(v) = v + (v . delta) delta
+            dot = lat._pair(canonical, delta)
+            canonical = tuple(v + dot * d for v, d in zip(canonical, delta))
         for idx in word:
-            g = group.gens[idx]
-            iso = g.compose(iso)
-        canonical = iso.apply(wall)
+            canonical = linalg.mat_vec(mats[idx], canonical)
         reduced.setdefault(canonical, []).append((wall, reflections, word))
     entries = _merge_classes(lat, ample, group, reduced)
     return OrbitTable(
@@ -203,24 +205,14 @@ def find_isotropic(lat: Lattice, box: int) -> Vec | None:
 
     Deterministic choice: smallest coordinate 1-norm, ties broken by
     lexicographically largest, so standard basis vectors win when the Gram
-    matrix has a zero on the diagonal.  Returns None when the box has no
+    matrix has a zero on the diagonal, and of v and -v the one whose first
+    non-zero coordinate is positive wins.  Returns None when the box has no
     isotropic vector; that is a bounded search outcome, not a proof.
     """
     if box < 1:
         raise UnboundedQuery("the coordinate bound must be at least 1")
-    best = None
-    best_key = None
-    for v in itertools.product(range(-box, box + 1), repeat=lat.rank):
-        if not any(v) or lat.norm(v) != 0:
-            continue
-        if gcd(*(abs(c) for c in v)) != 1:
-            continue
-        key = (sum(abs(c) for c in v), tuple(-c for c in v))
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    if best is None:
-        return None
-    lead = next(c for c in best if c)
-    if lead < 0:
-        best = tuple(-c for c in best)
-    return best
+    found = (
+        v for v in itertools.product(range(-box, box + 1), repeat=lat.rank)
+        if gcd(*v) == 1 and lat.norm(v) == 0
+    )
+    return min(found, key=lambda v: (sum(map(abs, v)), tuple(-c for c in v)), default=None)

@@ -1,9 +1,13 @@
 """Rational polyhedral cones: double description, containment, transforms."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from k3cone import (
     DimensionMismatch,
@@ -17,6 +21,8 @@ from k3cone import (
 )
 
 from conftest import GRAM_P, GRAM_R, GRAM_U
+
+import oracles
 
 
 def test_single_halfplane():
@@ -136,3 +142,91 @@ def test_lineality_vectors_satisfy_all_normals_with_equality():
         assert lat.pairing((1, 1), ell) == 0
     # and interior points exist on the normal's positive side
     assert c.full_dim
+
+
+def test_redundant_row_of_a_wedge_is_no_facet():
+    """A full-dimensional cone with lineality stores its facets only."""
+    lat = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -4)))
+    c = cone_from_inequalities(lat, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert c.rays == ((0, -1, 0), (1, 0, 0))
+    assert c.lineality == ((0, 0, 1),)
+    assert c.full_dim
+    assert c.normals == ((0, 1, 0), (1, 0, 0))
+
+
+def test_half_line_keeps_its_facet():
+    """The single row of a pointed half-line is tight on no ray and is its facet."""
+    lat = Lattice(((2,),))
+    c = cone_from_inequalities(lat, [(3,)])
+    assert c.rays == ((1,),) and c.pointed and c.full_dim
+    assert c.normals == ((1,),)
+    assert not c.is_full_space
+    assert not contains(lat, c, (-1,))
+
+
+# ---------------------------------------------------------------- against ranks
+
+LATTICES = {
+    2: (GRAM_U, GRAM_P, GRAM_R),
+    3: (((2, 0, 0), (0, -2, 0), (0, 0, -4)), ((0, 1, 0), (1, 0, 0), (0, 0, -2))),
+    4: (((2, 0, 0, 0), (0, -2, 1, 0), (0, 1, -2, 0), (0, 0, 0, -4)),),
+    5: (((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, -2, 0, 0), (0, 0, 0, -2, 0),
+         (0, 0, 0, 0, -2)),),
+}
+
+
+@st.composite
+def row_systems(draw):
+    """A lattice of rank 2..5 and rows, some opposite, duplicated, scaled or
+    sums of two others, so that pointed cones, cones with lineality and
+    lower-dimensional cones all occur."""
+    rank = draw(st.integers(2, 5))
+    gram = draw(st.sampled_from(LATTICES[rank]))
+    unit = (1,) + (0,) * (rank - 1)
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank).map(lambda v: v if any(v) else unit)
+    rows = draw(st.lists(vectors, min_size=1, max_size=rank + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        new = draw(st.sampled_from((
+            tuple(-x for x in a),
+            a,
+            tuple(2 * x for x in a),
+            tuple(x + y for x, y in zip(a, b)),
+        )))
+        if any(new):
+            rows.append(new)
+    return Lattice(gram), draw(st.permutations(rows))
+
+
+def _rank(rows):
+    return len(oracles.rref_over_q(rows)[0]) if rows else 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=row_systems())
+def test_double_description_agrees_with_ranks(system):
+    lat, rows = system
+    n = lat.rank
+    c = cone_from_inequalities(lat, rows)
+    lin = list(c.lineality)
+    event("lower-dimensional" if not c.full_dim else "lineality" if lin else "pointed")
+    for r in c.rays:
+        assert all(lat.pairing(r, row) >= 0 for row in rows)
+    for l in lin:
+        assert all(lat.pairing(l, row) == 0 for row in rows)
+    # every ray is extreme: its tight rows cut a line in the quotient by L
+    for r in c.rays:
+        tight = [row for row in rows if lat.pairing(r, row) == 0]
+        assert _rank(tight) == n - len(lin) - 1
+    assert c.full_dim == (_rank(list(c.rays) + lin) == n)
+    primitive = {tuple(x // math.gcd(*row) for x in row) for row in rows}
+    if c.full_dim:
+        facets = {
+            row for row in primitive
+            if _rank([r for r in c.rays if lat.pairing(r, row) == 0] + lin) == n - 1
+        }
+        assert set(c.normals) == facets and len(c.normals) == len(facets)
+    else:
+        assert set(c.normals) <= primitive
+    for x in itertools.product((-1, 0, 1), repeat=n):
+        assert contains(lat, c, x) == all(lat.pairing(x, row) >= 0 for row in rows)

@@ -8,6 +8,7 @@ import oracles as O
 from k3cone import (
     BadPrime,
     DegenerateBasis,
+    DimensionMismatch,
     GeneratorRejected,
     Isometry,
     Lattice,
@@ -97,6 +98,25 @@ def test_build_group_drops_identity_and_duplicates(latP):
 def test_build_group_empty(latP):
     grp = build_group(latP, AMPLE_P, [])
     assert grp.matrices() == ()
+
+
+@pytest.mark.parametrize("bad", [((3.5, -2), (4, -3)), ((True, False), (False, True))])
+def test_build_group_rejects_non_integer_entries(latP, bad):
+    """A float or bool entry fails every check instead of being truncated."""
+    with pytest.raises(GeneratorRejected) as exc:
+        build_group(latP, AMPLE_P, [GAMMA_P, bad])
+    assert exc.value.index == 1
+    assert exc.value.report == verify_generator(latP, AMPLE_P, bad)
+    assert not exc.value.report.preserves_form
+
+
+def test_supersingular_api_rejects_non_integer_entries(latR):
+    with pytest.raises(DimensionMismatch):
+        SupersingularDatum(3, ((1.9, 1),))
+    with pytest.raises(DimensionMismatch):
+        SupersingularDatum(3, ((True, 1),))
+    with pytest.raises(DimensionMismatch):
+        preserves_K(latR, SupersingularDatum(3, ((1, 1),)), ((0, 1.0), (1, 0)))
 
 
 # ---------------------------------------------------------------- projection
