@@ -29,7 +29,6 @@ from .enumeration import (
 from .errors import (
     AmpleOnWall,
     BadPrime,
-    BoundExhausted,
     BrokenInvariant,
     CoverageFailure,
     Degenerate,
@@ -86,7 +85,6 @@ __all__ = [
     "AmpleOnWall",
     "BadPrime",
     "Bounds",
-    "BoundExhausted",
     "BrokenInvariant",
     "CoverageFailure",
     "Degenerate",

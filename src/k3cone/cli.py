@@ -22,7 +22,7 @@ from pathlib import Path
 from . import report as rpt
 from .cones import intersection, transform_cone
 from .enumeration import roots_up_to_degree, separating_roots
-from .errors import BoundExhausted, BrokenInvariant, GeometryError
+from .errors import BrokenInvariant, GeometryError
 from .groups import filter_preserving_K
 from .orbits import (
     ISOTROPY_ADVICE,
@@ -41,6 +41,9 @@ from .sterk import (
     verify_fundamental,
 )
 from .weyl import DOT_WORD_LENGTH, ISOTROPY_BOX, ROOT_BOUND_FACTOR, walk_to_nef
+
+
+CEILING_WARNING = "the orbit bound hit the doubling ceiling before the domain stabilized"
 
 
 def _parse_class(text: str, rank: int) -> tuple[int, ...]:
@@ -63,19 +66,12 @@ def _nef_certificates(nef) -> dict:
 
 
 def _domain(problem: Problem) -> tuple[SterkDomain | None, list[str]]:
-    """The Sterk domain and the warnings that go with it.
-
-    When the ceiling runs out, the domain is the partial one or None, and the
-    warnings hold the ``BoundExhausted`` message.
-    """
-    try:
-        domain = sterk_domain(
-            problem.lattice, problem.ample, problem.group, problem.nef,
-            ceiling=problem.bounds.ceiling,
-        )
-    except BoundExhausted as e:
-        return e.partial, [str(e)]
-    return domain, []
+    """The Sterk domain, warned with CEILING_WARNING when partial or None."""
+    domain = sterk_domain(
+        problem.lattice, problem.ample, problem.group, problem.nef,
+        ceiling=problem.bounds.ceiling,
+    )
+    return domain, [] if domain is not None and domain.saturated else [CEILING_WARNING]
 
 
 def _cmd_validate(problem: Problem, args):
@@ -204,6 +200,11 @@ def _cmd_reduce(problem: Problem, args):
 
 def _cmd_orbits(problem: Problem, args):
     bound = _enum_bound(problem, args.bound)
+    if args.kind == "genus":
+        if args.genus is None:
+            raise GeometryError("--kind genus requires --genus")
+        if args.genus < 0:
+            raise GeometryError("genus must be non-negative")
     lat, ample, group, nef = problem.lattice, problem.ample, problem.group, problem.nef
     domain, warnings = _domain(problem)
     if domain is None or not domain.saturated:
@@ -216,8 +217,6 @@ def _cmd_orbits(problem: Problem, args):
     elif args.kind == "elliptic":
         table = elliptic_orbits(lat, ample, group, domain, bound)
     else:
-        if args.genus is None:
-            raise GeometryError("--kind genus requires --genus")
         table = genus_orbits(lat, ample, group, nef, domain, args.genus, bound)
     certificates = {"saturated": domain.saturated, "stable": table.stable}
     if not table.stable:

@@ -85,14 +85,6 @@ class GeneratorRejected(GeometryError):
         super().__init__(f"generator {index} rejected: {report}")
 
 
-class BoundExhausted(GeometryError):
-    """A doubling search hit its ceiling; partial data is attached."""
-
-    def __init__(self, message, partial=None):
-        self.partial = partial
-        super().__init__(message)
-
-
 class CoverageFailure(GeometryError):
     """A reduced point failed to land in the fundamental domain."""
 

@@ -6,7 +6,9 @@ Only finitely many orbit points matter; we take all of them up to a degree
 cap, check that the resulting cone is pointed, full-dimensional, spanned by
 rays that pass the chamber membership test, and that no ray can still be
 moved down by a generator (descent stability).  If any check fails the cap
-doubles, up to the shared doubling ceiling.
+doubles, up to the shared doubling ceiling.  Running out is not an error: the
+answer is then the last candidate that failed only descent stability, flagged
+``saturated=False``, or None when no doubling gave a candidate.
 
 Reduction into the domain is walk-then-descend: reflections bring a class
 into the chamber (by the walls of the chamber the domain records, when it
@@ -27,13 +29,13 @@ from operator import mul
 
 from . import linalg
 from .cones import (
+    DoubleDescription,
     RationalCone,
-    cone_from_inequalities,
     contains,
     interiors_disjoint,
     transform_cone,
 )
-from .errors import BoundExhausted, BrokenInvariant, CoverageFailure
+from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
 from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
 from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, walk_to_nef
@@ -82,13 +84,23 @@ def sterk_domain(
     nef: NefDescription,
     bound: int | None = None,
     ceiling: int = Bounds.ceiling,
-) -> SterkDomain:
+) -> SterkDomain | None:
+    """The domain, its unsaturated partial, or None (see the module docstring).
+
+    One double description takes the chamber rows (the facets of a certified
+    chamber, else the accepted walls) once and each doubling's orbit cuts;
+    it drops a row it already implies.  A negative ceiling raises
+    GeometryError.
+    """
     ample = as_vector(ample, lat.rank, "ample class")
-    chamber = nef.cone.normals if nef.complete else nef.walls
-    if bound is None:
-        bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
-    fallback = None
+    if ceiling < 0:
+        raise GeometryError(f"doubling ceiling {ceiling} is negative")
+    bound = ORBIT_BOUND_FACTOR * lat.norm(ample) if bound is None else bound
+    dd = DoubleDescription(lat)
+    dd.add(nef.cone.normals if nef.complete else nef.walls)
+    last = None
     for _ in range(ceiling + 1):
+        # a larger cap can give an orbit point a shorter word, so the BFS reruns
         orbit = orbit_of_ample(lat, ample, group, bound)
         cuts = []
         for h, word in sorted(orbit.items()):
@@ -100,23 +112,21 @@ def sterk_domain(
             if lat.pairing(ample, diff) <= 0:
                 raise BrokenInvariant(f"orbit point {h} at the ample degree")
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
-        cone = cone_from_inequalities(lat, chamber + tuple(c.normal for c in cuts))
+        dd.add(c.normal for c in cuts)
+        cone = dd.cone()
         if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays):
             stable = all(
                 lat._pair(ample, g.apply(r)) >= lat._pair(ample, r)
                 for r in cone.rays
                 for g in group.gens
             )
-            active = tuple(c for c in cuts if c.normal in set(cone.normals))
-            domain = SterkDomain(cone, active, bound, len(orbit), stable, nef)
+            facets = set(cone.normals)
+            active = tuple(c for c in cuts if c.normal in facets)
+            last = SterkDomain(cone, active, bound, len(orbit), stable, nef)
             if stable:
-                return domain
-            fallback = domain
+                return last
         bound *= 2
-    raise BoundExhausted(
-        "the orbit bound hit the doubling ceiling before the domain stabilized",
-        partial=fallback,
-    )
+    return last
 
 
 def reduce_to_domain(

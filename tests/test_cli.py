@@ -198,23 +198,17 @@ def test_reduce_without_a_domain_exits_2(l_r_bare, capsys):
 
 @pytest.fixture
 def partial_domain(monkeypatch):
-    """Make the CLI's domain search run out with L_P's partial domain attached.
+    """Make the CLI's domain search return L_P's partial domain.
 
     No small problem file exhausts the ceiling with a partial domain, so the
-    exhaustion is borrowed from a search at orbit bound 1 and ceiling 0.
+    partial is borrowed from a search at orbit bound 1 and ceiling 0.
     """
     from k3cone import cli
-    from k3cone.errors import BoundExhausted
 
     p = k3cone.parse_problem((PROBLEMS / "l_p.json").read_text())
-    with pytest.raises(BoundExhausted) as exc:
-        k3cone.sterk_domain(p.lattice, p.ample, p.group, p.nef, bound=1, ceiling=0)
-    assert exc.value.partial is not None
-
-    def exhausted(*args, **kwargs):
-        raise exc.value
-
-    monkeypatch.setattr(cli, "sterk_domain", exhausted)
+    partial = k3cone.sterk_domain(p.lattice, p.ample, p.group, p.nef, bound=1, ceiling=0)
+    assert partial is not None and not partial.saturated
+    monkeypatch.setattr(cli, "sterk_domain", lambda *args, **kwargs: partial)
 
 
 def test_sterk_without_a_domain_exits_2(l_r_bare, capsys):
@@ -233,6 +227,21 @@ def test_orbits_without_a_domain_report_the_empty_table(l_r_bare, capsys, kind):
     assert rep["results"]["genus"] == (None if kind[1] == "nodal" else "2")
     assert rep["certificates"] == {"saturated": False, "stable": False}
     assert rep["warnings"] == [CEILING_WARNING]
+
+
+@pytest.mark.parametrize("bare", [True, False], ids=["l_r_bare", "l_p"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [((), "--kind genus requires --genus"), (("--genus", "-1"), "genus must be non-negative")],
+    ids=["missing", "negative"],
+)
+def test_orbits_genus_flag_is_checked_before_the_domain(request, capsys, bare, flag, message):
+    """A bad --genus is a usage error whether or not the file has a domain."""
+    path = request.getfixturevalue("l_r_bare") if bare else L_P
+    code, rep, err = run(capsys, "orbits", path, "--kind", "genus", *flag)
+    assert code == 1
+    assert rep is None
+    assert err["message"] == message
 
 
 def test_sterk_reports_a_partial_domain(partial_domain, capsys):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import oracles as O
 from k3cone import (
-    BoundExhausted,
     CoverageFailure,
+    GeometryError,
     Lattice,
     SterkDomain,
     build_group,
@@ -24,6 +24,7 @@ from k3cone import (
     contains,
     nef_walls,
     orbit_of_ample,
+    primitive_ray,
     reduce_to_domain,
     sterk_domain,
     verify_fundamental,
@@ -287,9 +288,7 @@ def test_domain_ray_outside_the_positive_cone_is_not_nef(setups):
 
 def test_bound_exhausted_carries_partial(setups):
     latP, ampleP, grpP, nefP, _ = setups["P"]
-    with pytest.raises(BoundExhausted) as exc:
-        sterk_domain(latP, ampleP, grpP, nefP, bound=1, ceiling=0)
-    partial = exc.value.partial
+    partial = sterk_domain(latP, ampleP, grpP, nefP, bound=1, ceiling=0)
     assert partial is not None
     assert not partial.saturated
     assert partial.rays == ((1, 0), (3, 4))  # bare chamber, cuts not yet found
@@ -301,9 +300,53 @@ def test_bound_exhausted_partial_none_when_nothing_valid():
     latR = Lattice(GRAM_R)
     nefR = nef_walls(latR, AMPLE_R)
     empty = build_group(latR, AMPLE_R, [], nefR)
-    with pytest.raises(BoundExhausted) as exc:
-        sterk_domain(latR, AMPLE_R, empty, nefR, ceiling=0)
-    assert exc.value.partial is None
+    assert sterk_domain(latR, AMPLE_R, empty, nefR, ceiling=0) is None
+
+
+def test_negative_ceiling_raises(setups):
+    """A negative ceiling is an error, not a search of no doublings that
+    quietly returns None."""
+    latP, ampleP, grpP, nefP, _ = setups["P"]
+    with pytest.raises(GeometryError):
+        sterk_domain(latP, ampleP, grpP, nefP, ceiling=-1)
+
+
+def _ua2_swap():
+    """U + A1^2 at H = (4, 3, 1, 1), with the swap of the A1 coordinates."""
+    lat = Lattice(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
+    ample = (4, 3, 1, 1)
+    nef = nef_walls(lat, ample)
+    swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    grp = build_group(lat, ample, [swap], nef)
+    return lat, ample, grp, nef, sterk_domain(lat, ample, grp, nef)
+
+
+@pytest.mark.parametrize("name", ["U", "P", "R", "UA1^2", "D41", "P partial"])
+def test_grown_domain_equals_the_rebuilt_one(setups, name):
+    """The one growing double description gives the cone that the chamber
+    and every orbit cut at the domain's bound give from scratch, and the
+    cuts are the orbit cuts on its facets."""
+    if name in setups:
+        lat, ample, grp, nef, dom = setups[name]
+    elif name == "UA1^2":
+        lat, ample, grp, nef, dom = _ua2_swap()
+    elif name == "D41":
+        lat, ample, grp, nef, dom = _setup(name)
+    else:  # L_P's partial domain
+        lat, ample, grp, nef, _ = setups["P"]
+        dom = sterk_domain(lat, ample, grp, nef, bound=1, ceiling=0)
+    orbit = orbit_of_ample(lat, ample, grp, dom.orbit_bound)
+    cuts = [
+        (primitive_ray(tuple(a - b for a, b in zip(h, ample))), h, word)
+        for h, word in sorted(orbit.items())
+        if h != ample
+    ]
+    chamber = nef.cone.normals if nef.complete else nef.walls
+    rebuilt = cone_from_inequalities(lat, tuple(chamber) + tuple(n for n, _, _ in cuts))
+    assert dom.cone == rebuilt
+    assert [(c.normal, c.orbit_point, c.word) for c in dom.cuts] == [
+        c for c in cuts if c[0] in rebuilt.normals
+    ]
 
 
 def test_group_words_enumerates_distinct_elements(setups):
