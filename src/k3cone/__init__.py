@@ -57,7 +57,7 @@ from .groups import (
     preserves_K,
     verify_generator,
 )
-from .lattice import Isometry, Lattice, primitive_ray, reflection_matrix, validate_problem
+from .lattice import Isometry, Lattice, primitive_ray, reflection_matrix
 from .orbits import (
     OrbitEntry,
     OrbitTable,
@@ -66,7 +66,7 @@ from .orbits import (
     genus_orbits,
     nodal_orbits,
 )
-from .problem import Problem, parse_problem, serialize_problem
+from .problem import Problem, parse_problem, serialize_problem, validate_problem
 from .report import SCHEMA_VERSION, build_report, exit_code_for, report_schema
 from .sterk import (
     FundamentalCertificate,

@@ -239,11 +239,10 @@ def _cmd_filter_k(problem: Problem, args):
     if problem.supersingular is None:
         raise GeometryError("the problem file has no supersingular block")
     kept = filter_preserving_K(problem.lattice, problem.group, problem.supersingular)
-    kept_set = {g.matrix for g in kept}
-    dropped = [g.matrix for g in problem.group.gens if g.matrix not in kept_set]
+    dropped = [m for m in problem.group.gens if m not in kept]
     results = {
         "prime": problem.supersingular.prime,
-        "kept": [g.matrix for g in kept],
+        "kept": kept,
         "dropped": dropped,
     }
     return results, {}, []

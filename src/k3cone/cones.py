@@ -44,7 +44,7 @@ from operator import and_, mul
 
 from . import linalg
 from .errors import GeometryError, ZeroVector
-from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
+from .lattice import Lattice, Mat, Vec, as_vector, primitive_ray
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ def interiors_disjoint(lat: Lattice, a: RationalCone, b: RationalCone) -> bool:
     return not intersection(lat, a, b).full_dim
 
 
-def transform_cone(lat: Lattice, cone: RationalCone, iso: Isometry) -> RationalCone:
+def transform_cone(lat: Lattice, cone: RationalCone, g: Mat) -> RationalCone:
     """The image cone g(C).  Pairing-normals transform by g itself."""
-    rays = tuple(sorted(primitive_ray(iso.apply(r)) for r in cone.rays))
-    normals = tuple(sorted(primitive_ray(iso.apply(n)) for n in cone.normals))
-    lineality = _canonical_lineality([iso.apply(l) for l in cone.lineality])
+    rays = tuple(sorted(primitive_ray(linalg.mat_vec(g, r)) for r in cone.rays))
+    normals = tuple(sorted(primitive_ray(linalg.mat_vec(g, n)) for n in cone.normals))
+    lineality = _canonical_lineality([linalg.mat_vec(g, l) for l in cone.lineality])
     return RationalCone(cone.rank, normals, rays, lineality, cone.full_dim)

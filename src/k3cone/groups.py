@@ -3,7 +3,9 @@
 Generators are integer matrices that preserve the pairing, keep the ample
 component, and map the ample chamber into itself.  ``build_group`` closes
 them under inversion and records each inverse's index, so a generator word
-inverts index by index.
+inverts index by index.  A verified group holds plain integer matrices:
+``verify_generator`` validates each input once, and is the only place that
+builds an ``Isometry``; downstream code applies the matrices unchecked.
 
 ``word_search`` is the one breadth-first search over generator words: the
 ample orbit, the tiling translates and the orbit-merge balls all use it.
@@ -81,12 +83,11 @@ class GroupGenerators:
 
     lattice: Lattice
     ample: Vec
-    gens: tuple[Isometry, ...]
-    provenance: tuple[str, ...]
+    gens: tuple[Mat, ...]
     inverses: tuple[int, ...]  # gens[inverses[i]] is the inverse of gens[i]
 
     def matrices(self) -> tuple[Mat, ...]:
-        return tuple(g.matrix for g in self.gens)
+        return self.gens
 
 
 def build_group(
@@ -102,26 +103,23 @@ def build_group(
     float) fails every check, as ``verify_generator`` reports it.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    tagged: dict[Mat, str] = {}
+    identity = linalg.identity(lat.rank)
     inverse: dict[Mat, Mat] = {}
     for i, m in enumerate(matrices):
         report = verify_generator(lat, ample, m, nef)
         if not report.ok:
             raise GeneratorRejected(i, report)
-        g = Isometry(lat, m)
-        if g.is_identity():
+        m = tuple(tuple(row) for row in m)
+        if m == identity:
             continue
-        inv = g.inverse()
-        tagged.setdefault(g.matrix, f"input[{i}]")
-        tagged.setdefault(inv.matrix, f"inverse(input[{i}])")
-        inverse[g.matrix], inverse[inv.matrix] = inv.matrix, g.matrix
-    order = sorted(tagged)
+        inv = linalg.invert_unimodular(m)  # exact: an isometry has det +-1
+        inverse[m], inverse[inv] = inv, m
+    order = sorted(inverse)
     index = {m: i for i, m in enumerate(order)}
     return GroupGenerators(
         lattice=lat,
         ample=ample,
-        gens=tuple(Isometry(lat, m) for m in order),
-        provenance=tuple(tagged[m] for m in order),
+        gens=tuple(order),
         inverses=tuple(index[inverse[m]] for m in order),
     )
 
@@ -224,11 +222,11 @@ def preserves_K(lat: Lattice, datum: SupersingularDatum, matrix) -> bool:
 
 def filter_preserving_K(
     lat: Lattice, group: GroupGenerators, datum: SupersingularDatum
-) -> tuple[Isometry, ...]:
-    """The generators whose mod-p reduction preserves K.
+) -> tuple[Mat, ...]:
+    """The generator matrices whose mod-p reduction preserves K.
 
     This filters the generating set; it does not compute the full stabilizer
     of K inside the group.
     """
-    return tuple(g for g in group.gens if preserves_K(lat, datum, g.matrix))
+    return tuple(m for m in group.gens if preserves_K(lat, datum, m))
 

@@ -1,4 +1,4 @@
-"""Hyperbolic lattices, their isometries, and problem validation.
+"""Hyperbolic lattices and their isometries.
 
 Conventions used across the whole package:
 
@@ -21,7 +21,6 @@ from . import linalg
 from .errors import (
     Degenerate,
     DimensionMismatch,
-    NonPositiveAmple,
     NotAnIsometry,
     NotARoot,
     OddLattice,
@@ -157,20 +156,3 @@ class Isometry:
     def is_identity(self) -> bool:
         return self.matrix == linalg.identity(self.lattice.rank)
 
-
-def validate_problem(gram, ample) -> tuple[Lattice, Vec]:
-    """Build the validated (lattice, ample class) pair.
-
-    Checks, in order: integral symmetric Gram matrix; even diagonal; exact
-    signature (1, rank-1); integral ample class of positive self-pairing; the
-    ample class is orthogonal to no root.  The last check is a finite one:
-    roots orthogonal to an ample class live in a negative definite slice.
-    """
-    lat = Lattice(tuple(tuple(row) for row in gram))
-    h = as_vector(ample, lat.rank, "ample class")
-    if lat.norm(h) <= 0:
-        raise NonPositiveAmple(f"ample class has self-pairing {lat.norm(h)} <= 0")
-    from . import enumeration  # deferred: enumeration needs Lattice
-
-    enumeration.check_off_walls(lat, h)
-    return lat, h

@@ -24,9 +24,10 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import GeometryError, ProblemFormatError
+from . import enumeration
+from .errors import GeometryError, NonPositiveAmple, ProblemFormatError
 from .groups import GroupGenerators, SupersingularDatum, build_group
-from .lattice import Lattice, Mat, Vec, validate_problem
+from .lattice import Lattice, Mat, Vec, as_vector
 from .report import encode
 from .weyl import Bounds, NefDescription, nef_walls
 
@@ -50,6 +51,22 @@ class Problem:
         """The verified generators; ``parse_problem`` builds this eagerly."""
         nef = self.nef if self.generator_matrices else None
         return build_group(self.lattice, self.ample, self.generator_matrices, nef)
+
+
+def validate_problem(gram, ample) -> tuple[Lattice, Vec]:
+    """Build the validated (lattice, ample class) pair.
+
+    Checks, in order: integral symmetric Gram matrix; even diagonal; exact
+    signature (1, rank-1); integral ample class of positive self-pairing; the
+    ample class is orthogonal to no root.  The last check is a finite one:
+    roots orthogonal to an ample class live in a negative definite slice.
+    """
+    lat = Lattice(tuple(tuple(row) for row in gram))
+    h = as_vector(ample, lat.rank, "ample class")
+    if lat.norm(h) <= 0:
+        raise NonPositiveAmple(f"ample class has self-pairing {lat.norm(h)} <= 0")
+    enumeration.check_off_walls(lat, h)
+    return lat, h
 
 
 def _int_from(value, where: str) -> int:
@@ -95,20 +112,15 @@ def _located(err: GeometryError, where: str):
     return err
 
 
-def parse_problem(data) -> Problem:
-    """Parse and fully validate a problem given as JSON text/bytes or a dict."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        raw_text = data
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise ProblemFormatError(
-                f"line {e.lineno} column {e.colno}", e.msg
-            ) from e
-    else:
-        raw_text = None
+def parse_problem(text: str) -> Problem:
+    """Parse and fully validate a problem given as the JSON text of its file.
+
+    The digest is the sha256 of that text.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ProblemFormatError(f"line {e.lineno} column {e.colno}", e.msg) from e
     if not isinstance(data, dict):
         raise ProblemFormatError("$", "the problem must be a JSON object")
     unknown = set(data) - {
@@ -185,10 +197,7 @@ def parse_problem(data) -> Problem:
             raise ProblemFormatError("K3CONE_CEILING", "must be non-negative")
         bounds = replace(bounds, ceiling=ceiling)
 
-    canonical = raw_text if raw_text is not None else json.dumps(
-        data, sort_keys=True, separators=(",", ":")
-    )
-    digest = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     problem = Problem(
         lattice=lattice,
         ample=ample,

@@ -37,7 +37,7 @@ from .cones import (
 )
 from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
-from .lattice import Isometry, Lattice, Vec, as_vector, primitive_ray
+from .lattice import Lattice, Vec, as_vector, primitive_ray
 from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, walk_to_nef
 
 
@@ -90,12 +90,14 @@ def sterk_domain(
     One double description takes the chamber rows (the facets of a certified
     chamber, else the accepted walls) once and each doubling's orbit cuts;
     it drops a row it already implies.  A negative ceiling raises
-    GeometryError.
+    GeometryError, and so does a bound below 1, which doubling never grows.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     bound = ORBIT_BOUND_FACTOR * lat.norm(ample) if bound is None else bound
+    if bound < 1:
+        raise GeometryError(f"orbit bound {bound} is below 1")
     dd = DoubleDescription(lat)
     dd.add(nef.cone.normals if nef.complete else nef.walls)
     last = None
@@ -116,7 +118,7 @@ def sterk_domain(
         cone = dd.cone()
         if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays):
             stable = all(
-                lat._pair(ample, g.apply(r)) >= lat._pair(ample, r)
+                lat._pair(ample, linalg.mat_vec(g, r)) >= lat._pair(ample, r)
                 for r in cone.rays
                 for g in group.gens
             )
@@ -203,16 +205,14 @@ class FundamentalCertificate:
 
 
 def group_words(group: GroupGenerators, length: int):
-    """Distinct non-identity group elements spelled by words up to ``length``."""
-    lat = group.lattice
-    identity = linalg.identity(lat.rank)
+    """``(matrix, word)`` for each distinct non-identity group element spelled
+    by a word up to ``length``, sorted by matrix."""
+    identity = linalg.identity(group.lattice.rank)
     elements = word_search(
-        [lambda m, g=g.matrix: linalg.mat_mul(g, m) for g in group.gens],
-        identity,
-        depth=length,
+        [partial(linalg.mat_mul, g) for g in group.gens], identity, depth=length
     )
     del elements[identity]
-    return [(Isometry(lat, m), w) for m, w in sorted(elements.items())]
+    return sorted(elements.items())
 
 
 def verify_fundamental(
@@ -249,9 +249,8 @@ def verify_fundamental(
             coeffs[rng.randrange(len(basis))] = 1
         x = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(lat.rank))
         for _ in range(rng.randint(0, word_length)):
-            g = group.gens[rng.randrange(len(group.gens))] if group.gens else None
-            if g is not None:
-                x = g.apply(x)
+            if group.gens:
+                x = linalg.mat_vec(group.gens[rng.randrange(len(group.gens))], x)
         try:
             reduce_to_domain(lat, ample, group, domain, x)
         except CoverageFailure:

@@ -266,9 +266,10 @@ def test_criterion_8_supersingular_filter(capsys, setups):
     datum = SupersingularDatum(3, ((1, 1),))
     kept = filter_preserving_K(lat, grp, datum)
     ok = ok and len(kept) == 3  # documented L_R / p = 3 example
-    for g in kept:
+    isos = [Isometry(lat, m) for m in kept]
+    for g in isos:
         ok = ok and preserves_K(lat, datum, g.inverse().matrix)
-        for h in kept:
+        for h in isos:
             ok = ok and preserves_K(lat, datum, g.compose(h).matrix)
     ok = ok and filter_preserving_K(lat, grp, SupersingularDatum(3, ((1, 0),))) == ()
     announce(capsys, 8, "supersingular filter laws and documented examples", ok)

@@ -4,6 +4,7 @@ All invocations go through main(argv) in-process; stdout carries exactly one
 JSON report on success and stderr one JSON error object on failure.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -413,14 +414,22 @@ def test_out_flag_writes_file_and_silences_stdout(tmp_path, capsys):
     assert saved["command"] == "walls"
 
 
+DOT_SHA256 = {
+    L_P: "006b211f32b3cabd4b875f058b55dfaccc900f16dea2cec7341c8e90ad8edd50",
+    L_R: "baee22120fd5d00a7662cde3f47ba5d3ee41e695518d8ac24a095cfe457dcf0e",
+}
+
+
 def test_dot_output(tmp_path, capsys):
-    dot = tmp_path / "adj.dot"
-    code, rep = run_valid(capsys, "sterk", L_R, "--dot", str(dot))
-    assert code == 0
-    text = dot.read_text()
-    assert text.startswith("graph")
-    assert '"e"' in text  # identity node
-    assert "--" in text  # at least one adjacency edge
+    for problem, sha in DOT_SHA256.items():
+        dot = tmp_path / "adj.dot"
+        code, rep = run_valid(capsys, "sterk", problem, "--dot", str(dot))
+        assert code == 0
+        text = dot.read_text()
+        assert text.startswith("graph")
+        assert '"e"' in text  # identity node
+        assert "--" in text  # at least one adjacency edge
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------- env overrides

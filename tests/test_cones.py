@@ -104,7 +104,7 @@ def test_transform_cone_covariance():
     lat = Lattice(GRAM_P)
     g = Isometry(lat, ((3, -2), (4, -3)))
     c = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    moved = transform_cone(lat, c, g)
+    moved = transform_cone(lat, c, g.matrix)
     assert moved.rays == tuple(sorted(map(g.apply, c.rays)))
     # membership transports: x in C iff g(x) in g(C)
     rng = random.Random(17)
@@ -117,7 +117,7 @@ def test_transform_cone_canonicalizes():
     lat = Lattice(GRAM_P)
     g = Isometry(lat, ((3, -2), (4, -3)))
     c = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    round_trip = transform_cone(lat, transform_cone(lat, c, g), g.inverse())
+    round_trip = transform_cone(lat, transform_cone(lat, c, g.matrix), g.inverse().matrix)
     assert round_trip.rays == c.rays
     assert round_trip.lineality == c.lineality
 

@@ -1,5 +1,6 @@
 """Problem-file parsing: located errors, digests, and lossless round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,3 +193,4 @@ def test_digest_tracks_exact_text(problems_dir):
     raw = load(problems_dir, "l_u.json")
     assert parse_problem(raw).digest == parse_problem(raw).digest
     assert parse_problem(raw + "\n").digest != parse_problem(raw).digest
+    assert parse_problem(raw).digest == "sha256:" + hashlib.sha256(raw.encode()).hexdigest()

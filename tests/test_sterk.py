@@ -305,10 +305,13 @@ def test_bound_exhausted_partial_none_when_nothing_valid():
 
 def test_negative_ceiling_raises(setups):
     """A negative ceiling is an error, not a search of no doublings that
-    quietly returns None."""
+    quietly returns None; so is a bound below 1, which doubling never grows
+    and which would return the unsaturated bare chamber."""
     latP, ampleP, grpP, nefP, _ = setups["P"]
-    with pytest.raises(GeometryError):
-        sterk_domain(latP, ampleP, grpP, nefP, ceiling=-1)
+    for kwargs in ({"ceiling": -1}, {"bound": 0, "ceiling": 12}, {"bound": -5, "ceiling": 12}):
+        with pytest.raises(GeometryError):
+            sterk_domain(latP, ampleP, grpP, nefP, **kwargs)
+    assert sterk_domain(latP, ampleP, grpP, nefP, bound=1, ceiling=0) is not None
 
 
 def _ua2_swap():
@@ -354,14 +357,14 @@ def test_group_words_enumerates_distinct_elements(setups):
     singles = group_words(grpR, 1)
     assert [w for _, w in singles] == [(0,), (1,), (2,)]
     pairs = group_words(grpR, 2)
-    mats = {iso.matrix for iso, _ in pairs}
+    mats = {g for g, _ in pairs}
     assert len(pairs) == len(mats)  # no duplicate group elements
-    for iso, word in pairs:
+    for g, word in pairs:
         m = ((1, 0), (0, 1))
         for i in word:
             m = tuple(
                 tuple(sum(grpR.matrices()[i][r][k] * m[k][c] for k in range(2)) for c in range(2))
                 for r in range(2)
             )
-        assert m == iso.matrix
-        assert not iso.is_identity()
+        assert m == g
+        assert g != ((1, 0), (0, 1))
