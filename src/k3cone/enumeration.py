@@ -169,12 +169,18 @@ def isotropics_up_to_degree(lat: Lattice, ample, bound: int) -> tuple[Vec, ...]:
 def check_positive_closure(lat: Lattice, ample, x) -> Vec:
     """Assert x lies in the closed positive cone on the ample side."""
     x = as_vector(x, lat.rank)
-    if all(c == 0 for c in x):
+    return _positive_closure(lat, as_vector(ample, lat.rank), x)
+
+
+def _positive_closure(lat: Lattice, ample: Vec, x: Vec) -> Vec:
+    """``check_positive_closure`` without re-validation, for tuples the package built."""
+    if not any(x):
         raise ZeroVector("the zero class is not a cone point")
-    n = lat.norm(x)
+    gx = lat._dual(x)
+    n = sum(map(mul, x, gx))
     if n < 0:
         raise OutsidePositiveCone(f"{x} has self-pairing {n} < 0")
-    if lat.pairing(ample, x) < 0:
+    if sum(map(mul, ample, gx)) < 0:
         raise OppositeCone(f"{x} lies in the component opposite the ample class")
     # degree zero cannot happen here: a nonzero vector of non-negative norm
     # orthogonal to H would contradict signature (1, rank-1)

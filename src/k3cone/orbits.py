@@ -27,7 +27,7 @@ from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Vec, as_vector
-from .sterk import SterkDomain, reduce_to_domain
+from .sterk import SterkDomain, _reducer
 from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription
 
 
@@ -111,12 +111,13 @@ def nodal_orbits(
         return OrbitTable("nodal", None, (), nef.certification_bound, stable)
     witnesses = dict(nef.witnesses)
     mats = group.matrices()
+    reduce = _reducer(lat, ample, group, domain)
     reduced: dict[Vec, list] = {}
     for wall in nef.walls:
         witness = witnesses.get(wall)
         if witness is None:
             raise GeometryError(f"no facet witness recorded for wall {wall}")
-        _, reflections, word = reduce_to_domain(lat, ample, group, domain, witness)
+        _, reflections, word = reduce(witness)
         canonical = wall
         for delta in reflections:  # s_delta(v) = v + (v . delta) delta
             dot = lat._pair(canonical, delta)
@@ -147,9 +148,10 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
         classes = isotropics_up_to_degree(lat, ample, 2 * bound)
     else:
         classes = classes_up_to_degree(lat, ample, 2 * genus - 2, 2 * bound)
+    reduce = _reducer(lat, ample, group, domain)
     low, doubled = {}, {}
     for x in classes:
-        z, reflections, word = reduce_to_domain(lat, ample, group, domain, x)
+        z, reflections, word = reduce(x)
         doubled.setdefault(z, []).append((x, reflections, word))
         if lat._pair(ample, x) <= bound:
             low.setdefault(z, []).append((x, reflections, word))

@@ -14,7 +14,12 @@ Reduction into the domain is walk-then-descend: reflections bring a class
 into the chamber (by the walls of the chamber the domain records, when it
 is certified), then generators lower its degree and, where none does, the
 inverse of a cut's orbit element does.  A class that neither lowers lies in
-the domain, so the reduction always lands there.
+the domain, so the reduction always lands there.  One prepared reducer per
+(lattice, ample class, group, domain) does every reduction: it builds G H,
+the chamber's wall check and the sorted move table once, then checks each
+class's positive closure and each endpoint's membership in the domain.
+``reduce_to_domain`` builds one and applies it once; the sampled coverage
+check and the orbit tables build one per call and apply it to every class.
 ``verify_fundamental`` spot-checks the two fundamental-domain properties
 (coverage on random samples, disjoint interiors of translates) and returns
 a certificate of what was actually established.
@@ -28,17 +33,12 @@ from functools import partial
 from operator import mul
 
 from . import linalg
-from .cones import (
-    DoubleDescription,
-    RationalCone,
-    contains,
-    interiors_disjoint,
-    transform_cone,
-)
+from .cones import DoubleDescription, RationalCone, interiors_disjoint, transform_cone
+from .enumeration import _positive_closure
 from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Vec, as_vector, primitive_ray
-from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, walk_to_nef
+from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, _walker
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,19 @@ def reduce_to_domain(
     hand-built domain not cut out by its own cuts allows.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    y, reflections = walk_to_nef(lat, ample, x, domain.nef)
-    mats, inv = group.matrices(), group.inverses
+    return _reducer(lat, ample, group, domain)(as_vector(x, lat.rank))
+
+
+def _reducer(lat: Lattice, ample: Vec, group: GroupGenerators, domain: SterkDomain):
+    """``reduce(x)`` for ``reduce_to_domain`` on one validated ample class.
+
+    The walk's chamber data and the sorted move table are built once, here,
+    so a caller reducing many classes into one domain builds them once.
+    ``reduce`` checks that its class lies in the positive closure and that
+    the endpoint lies in the domain, as ``reduce_to_domain`` does.
+    """
+    walk = _walker(lat, ample, domain.nef)
+    mats, inv = group.gens, group.inverses
     # (tier, word, row): generators are tier 0, cut inverses tier 1; a move m
     # sends the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)
     moves = sorted(
@@ -164,20 +175,27 @@ def reduce_to_domain(
            for c in domain.cuts],
         key=lambda m: (m[0], len(m[1]), m[1]),
     )
-    degree = lat._pair(ample, y)
-    word = ()
-    while True:
-        lower = [(t, d, w) for t, w, row in moves if (d := sum(map(mul, row, y))) < degree]
-        if not lower:
-            break
-        # min keeps the first of equal (tier, degree): the shortest, smallest word
-        _, degree, w = min(lower, key=lambda m: m[:2])
-        for i in w:
-            y = linalg.mat_vec(mats[i], y)
-        word += w
-    if not contains(lat, domain.cone, y):
-        raise CoverageFailure(x, y)
-    return y, reflections, word
+    normals = domain.cone.normals
+
+    def reduce(x: Vec) -> tuple[Vec, tuple[Vec, ...], tuple[int, ...]]:
+        y, reflections = walk(_positive_closure(lat, ample, x))
+        degree = lat._pair(ample, y)
+        word = ()
+        while True:
+            lower = [(t, d, w) for t, w, row in moves if (d := sum(map(mul, row, y))) < degree]
+            if not lower:
+                break
+            # min keeps the first of equal (tier, degree): the shortest, smallest word
+            _, degree, w = min(lower, key=lambda m: m[:2])
+            for i in w:
+                y = linalg.mat_vec(mats[i], y)
+            word += w
+        gy = lat._dual(y)
+        if any(sum(map(mul, n, gy)) < 0 for n in normals):
+            raise CoverageFailure(x, y)
+        return y, reflections, word
+
+    return reduce
 
 
 @dataclass(frozen=True)
@@ -235,13 +253,19 @@ def verify_fundamental(
     every distinct group element spelled by a word of at most
     ``word_length`` generators: its translate of the domain must either
     coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
-    the ample class) or meet it in no interior point.
+    the ample class) or meet it in no interior point.  A negative
+    ``samples`` or ``word_length`` raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
+    if samples < 0:
+        raise GeometryError(f"sample count {samples} is negative")
+    if word_length < 0:
+        raise GeometryError(f"word length {word_length} is negative")
     rays_nef = _nef_rays(lat, ample, domain.cone.rays)
 
     basis = nef.rays or (ample,) + domain.cone.rays
     rng = random.Random(seed)
+    reduce = _reducer(lat, ample, group, domain)
     failures = []
     for _ in range(samples):
         coeffs = [rng.randint(0, 6) for _ in basis]
@@ -252,7 +276,7 @@ def verify_fundamental(
             if group.gens:
                 x = linalg.mat_vec(group.gens[rng.randrange(len(group.gens))], x)
         try:
-            reduce_to_domain(lat, ample, group, domain, x)
+            reduce(x)
         except CoverageFailure:
             failures.append(x)
     coverage_ok = not failures

@@ -5,8 +5,11 @@ root of positive degree pairs non-negatively.  Walking a point into the
 chamber reflects it across separating walls in the order the straight segment
 from the ample class crosses them; the degree drops by at least one per step,
 so a walk of degree ``d`` finishes in at most ``d`` reflections.  One integer
-loop does every walk: it validates its input once, compares crossing
-parameters by cross-multiplication and reflects inline.  Its candidates are
+loop does every walk.  A walker prepared once per (lattice, ample class,
+chamber) holds G H, H^2 and the checked walls; ``walk_to_nef`` validates
+its input once and runs one, and a reducer into a Sterk domain keeps one
+for all of its classes.  The loop compares crossing parameters by
+cross-multiplication and reflects inline.  Its candidates are
 the roots up to the separating bound, or, once the chamber is certified,
 only its walls: the segment leaves the open chamber, which meets no root
 hyperplane, through the wall it crosses first.  Walls tied there meet at an
@@ -153,48 +156,62 @@ def walk_to_nef(
     """
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
+    return _walker(lat, ample, nef)(x)
+
+
+def _walker(lat: Lattice, ample: Vec, nef: NefDescription | None):
+    """``walk(x)`` for ``walk_to_nef`` on one validated ample class and chamber.
+
+    G H, H^2 and the certified walls' check are built once, here; ``walk``
+    takes a class that passed ``check_positive_closure`` and validates
+    nothing.
+    """
+    gh = lat._dual(ample)
+    h2 = sum(map(mul, ample, gh))
     walls = nef.walls if nef is not None and nef.complete else None
     # certified walls that all pair positively with H cut out H's chamber
     if walls is not None and any(
-        len(w) != lat.rank or lat._pair(ample, w) <= 0 for w in walls
+        len(w) != lat.rank or sum(map(mul, w, gh)) <= 0 for w in walls
     ):
         raise GeometryError("the chamber given is not the ample chamber of this lattice")
-    gh = lat._dual(ample)
-    h2 = sum(map(mul, ample, gh))
-    budget = sum(map(mul, x, gh))
-    word = []
-    while True:
-        gx = lat._dual(x)
-        if walls is None:
-            hx, x2 = sum(map(mul, ample, gx)), sum(map(mul, x, gx))
-            candidates = _root_stream(lat, ample, _degree_bound(h2, hx, x2))
-        else:
-            candidates = walls
-        # the least crossing so far is bh / (bh - bx); 1 / (1 - 0) is x itself,
-        # beyond every separating wall
-        tied, bh, bx = [], 1, 0
-        for delta in candidates:
-            dx = sum(map(mul, delta, gx))
-            if dx >= 0:
-                continue
-            dh = sum(map(mul, delta, gh))
-            c = dh * (bh - bx) - bh * (dh - dx)
-            if c < 0:
-                tied, bh, bx = [delta], dh, dx
-            elif c == 0:
-                tied.append(delta)
-        if not tied:
-            return x, tuple(word)
-        if walls is not None and len(tied) > 1:
-            # the prefix holds every tied root; the walls only the simple ones
-            tied = [d for d in _root_closure(lat, tuple(tied))
-                    if sum(map(mul, d, gh)) > 0 > sum(map(mul, d, gx))]
-        delta = min(tied)
-        c = sum(map(mul, delta, gx))
-        x = tuple(a + c * b for a, b in zip(x, delta))
-        word.append(delta)
-        if len(word) > budget:
-            raise BrokenInvariant(f"walk exceeded its degree budget of {budget} steps")
+
+    def walk(x: Vec) -> tuple[Vec, tuple[Vec, ...]]:
+        budget = sum(map(mul, x, gh))
+        word = []
+        while True:
+            gx = lat._dual(x)
+            if walls is None:
+                hx, x2 = sum(map(mul, ample, gx)), sum(map(mul, x, gx))
+                candidates = _root_stream(lat, ample, _degree_bound(h2, hx, x2))
+            else:
+                candidates = walls
+            # the least crossing so far is bh / (bh - bx); 1 / (1 - 0) is x
+            # itself, beyond every separating wall
+            tied, bh, bx = [], 1, 0
+            for delta in candidates:
+                dx = sum(map(mul, delta, gx))
+                if dx >= 0:
+                    continue
+                dh = sum(map(mul, delta, gh))
+                c = dh * (bh - bx) - bh * (dh - dx)
+                if c < 0:
+                    tied, bh, bx = [delta], dh, dx
+                elif c == 0:
+                    tied.append(delta)
+            if not tied:
+                return x, tuple(word)
+            if walls is not None and len(tied) > 1:
+                # the prefix holds every tied root; the walls only the simple ones
+                tied = [d for d in _root_closure(lat, tuple(tied))
+                        if sum(map(mul, d, gh)) > 0 > sum(map(mul, d, gx))]
+            delta = min(tied)
+            c = sum(map(mul, delta, gx))
+            x = tuple(a + c * b for a, b in zip(x, delta))
+            word.append(delta)
+            if len(word) > budget:
+                raise BrokenInvariant(f"walk exceeded its degree budget of {budget} steps")
+
+    return walk
 
 
 @lru_cache(maxsize=1024)

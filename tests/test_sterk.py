@@ -16,12 +16,18 @@ from hypothesis import strategies as st
 import oracles as O
 from k3cone import (
     CoverageFailure,
+    DimensionMismatch,
     GeometryError,
     Lattice,
+    OppositeCone,
+    OutsidePositiveCone,
     SterkDomain,
+    ZeroVector,
     build_group,
     cone_from_inequalities,
     contains,
+    elliptic_orbits,
+    genus_orbits,
     nef_walls,
     orbit_of_ample,
     primitive_ray,
@@ -29,7 +35,7 @@ from k3cone import (
     sterk_domain,
     verify_fundamental,
 )
-from k3cone.sterk import group_words
+from k3cone.sterk import _reducer, group_words
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
 
@@ -180,6 +186,51 @@ def test_hand_built_domain_out_of_reach_raises_coverage_failure(setups):
     assert exc.value.reduced == (1, 0)
 
 
+def test_sampled_coverage_reports_the_out_of_reach_domain(setups):
+    # the sample loop reduces through one shared reducer; it still checks
+    # each endpoint against the domain, as the public reduction does
+    latP, ampleP, grpP, nefP, _ = setups["P"]
+    narrow = cone_from_inequalities(latP, [(1, 2), (-1, -4)])
+    fake = SterkDomain(cone=narrow, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=40, word_length=2, seed=1)
+    assert not cert.coverage_ok
+    assert cert.coverage_failures
+    for x in cert.coverage_failures:
+        with pytest.raises(CoverageFailure):
+            reduce_to_domain(latP, ampleP, grpP, fake, x)
+
+
+def _positive(lat, ample, x):
+    """x moved into the positive cone by adding multiples of H (H is interior)."""
+    while lat.norm(x) < 0 or lat.pairing(ample, x) <= 0:
+        x = tuple(a + h for a, h in zip(x, ample))
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RANK2)),
+    xs=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=8),
+)
+def test_shared_reducer_carries_no_state_between_classes(name, xs):
+    lat, ample, grp, nef, dom = _setup(name)
+    xs = [_positive(lat, ample, x) for x in xs]
+    separate = [reduce_to_domain(lat, ample, grp, dom, x) for x in xs]
+    reduce = _reducer(lat, ample, grp, dom)
+    assert [reduce(x) for x in xs] == separate
+    assert [reduce(x) for x in reversed(xs)] == separate[::-1]
+
+
+def test_reducer_keeps_the_positive_closure_check(setups):
+    lat, ample, grp, nef, dom = setups["P"]
+    reduce = _reducer(lat, ample, grp, dom)
+    for x, error in (((0, 0), ZeroVector), ((0, 1), OutsidePositiveCone), ((-2, -1), OppositeCone)):
+        with pytest.raises(error):
+            reduce_to_domain(lat, ample, grp, dom, x)
+        with pytest.raises(error):
+            reduce(x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     name=st.sampled_from(sorted(RANK2)),
@@ -312,6 +363,27 @@ def test_negative_ceiling_raises(setups):
         with pytest.raises(GeometryError):
             sterk_domain(latP, ampleP, grpP, nefP, **kwargs)
     assert sterk_domain(latP, ampleP, grpP, nefP, bound=1, ceiling=0) is not None
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": -3}, {"word_length": -1}, {"samples": -1, "word_length": -1}])
+def test_negative_sample_count_or_word_length_raises(setups, kwargs):
+    """A negative sample count would certify coverage on no samples, and a
+    negative word length would escape from the sampler as a bare ValueError."""
+    lat, ample, grp, nef, dom = setups["R"]
+    with pytest.raises(GeometryError):
+        verify_fundamental(lat, ample, grp, dom, nef, **{"samples": 5, **kwargs})
+
+
+def test_bad_ample_class_raises_at_entry(setups):
+    # the reducer takes a validated ample class; each entry point validates it
+    lat, _, grp, nef, dom = setups["R"]
+    for ample in ((1, 1, 0), (1.0, 1)):
+        with pytest.raises(DimensionMismatch):
+            verify_fundamental(lat, ample, grp, dom, nef, samples=5)
+        with pytest.raises(DimensionMismatch):
+            elliptic_orbits(lat, ample, grp, dom)
+        with pytest.raises(DimensionMismatch):
+            genus_orbits(lat, ample, grp, nef, dom, 2)
 
 
 def _ua2_swap():
