@@ -57,7 +57,7 @@ from .groups import (
     preserves_K,
     verify_generator,
 )
-from .lattice import Isometry, Lattice, primitive_ray, reflection_matrix
+from .lattice import Isometry, Lattice, primitive_ray, reflection_matrix, replace
 from .orbits import (
     OrbitEntry,
     OrbitTable,
@@ -141,6 +141,7 @@ __all__ = [
     "rational_isotropic_rays",
     "reduce_to_domain",
     "reflection_matrix",
+    "replace",
     "report_schema",
     "roots_up_to_degree",
     "separating_degree_bound",

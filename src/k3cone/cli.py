@@ -332,17 +332,21 @@ def main(argv=None) -> int:
     except BrokenInvariant as e:
         _emit_error("internal", e)
         return 3
-    except GeometryError as e:
+    except (GeometryError, OSError) as e:  # OSError: an unwritable --dot path
         _emit_error("input", e)
         return 1
     except Exception as e:  # pragma: no cover - defensive
         _emit_error("internal", e)
         return 3
     text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
+    if not args.out:
         print(text)
+        return rpt.exit_code_for(report)
+    try:
+        Path(args.out).write_text(text + "\n")
+    except OSError as e:
+        _emit_error("input", e)
+        return 1
     return rpt.exit_code_for(report)
 
 

@@ -38,17 +38,15 @@ sub-cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul
 
 from . import linalg
 from .errors import GeometryError, ZeroVector
-from .lattice import Lattice, Mat, Vec, as_vector, primitive_ray
+from .lattice import Lattice, Mat, Record, Vec, as_vector, primitive_ray
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Record):
     """rays + lineality generate the cone; normals cut it out."""
 
     rank: int

@@ -23,8 +23,6 @@ membership are decided by one rank computation over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import (
     BadPrime,
@@ -33,12 +31,11 @@ from .errors import (
     GeneratorRejected,
     NotAnIsometry,
 )
-from .lattice import Isometry, Lattice, Mat, Vec, _as_int, as_vector
+from .lattice import Isometry, Lattice, Mat, Record, Vec, _as_int, as_vector
 from .weyl import NefDescription, nef_test
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
+class GeneratorReport(Record):
     """Outcome of the generator checks; ``walls_preserved`` is None when the
     wall list is not certified complete and the check would be vacuous."""
 
@@ -77,8 +74,7 @@ def verify_generator(
     return GeneratorReport(True, True, chamber_fixed, walls_preserved)
 
 
-@dataclass(frozen=True)
-class GroupGenerators:
+class GroupGenerators(Record):
     """Verified generators, closed under inversion, in a deterministic order."""
 
     lattice: Lattice
@@ -181,8 +177,7 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SupersingularDatum:
+class SupersingularDatum(Record):
     """A linear subspace K of F_p^rank, given by an independent basis mod p."""
 
     prime: int

@@ -10,11 +10,13 @@ Conventions used across the whole package:
 
 A lattice here is always even (even diagonal) and hyperbolic: exactly one
 positive square in its signature, no null directions.
+
+The package's value classes are ``Record`` subclasses: frozen, compared and
+hashed by their fields, and re-validated by ``replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
@@ -32,6 +34,66 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
+class Record:
+    """A frozen value whose fields are its class's annotations, in order.
+
+    A class attribute named after a field is that field's default.  Each
+    subclass gets a constructor with the fields as its parameters, which
+    runs ``__post_init__`` when the class has one; that is the only place a
+    field may change, through ``object.__setattr__``.  ``==`` and ``hash`` go
+    by the field values within one class, and ``repr`` is
+    ``Name(field=value, ...)``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", {}))
+        has_default = [hasattr(cls, name) for name in fields]
+        if has_default != sorted(has_default):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+        # straight-line methods, as fast as hand-written ones; short, because
+        # compiling them is part of every import of the package.  Setting each
+        # field through object.__setattr__ keeps the instance's attributes
+        # inline, where ``self.gram`` reads fastest
+        mine = "".join(f"self.{name}, " for name in fields)
+        theirs = "".join(f"other.{name}, " for name in fields)
+        source = [f"def __init__(self, {', '.join(fields)}):"]
+        source += [f" _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            source.append(" self.__post_init__()")
+        source += [
+            "def __eq__(self, other):",
+            f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented",
+            "def __hash__(self):",
+            f" return hash(({mine}))",
+        ]
+        methods = {}
+        exec("\n".join(source), {"_set": object.__setattr__}, methods)
+        methods["__init__"].__defaults__ = tuple(
+            getattr(cls, name) for name in fields if hasattr(cls, name)
+        )
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+        cls._fields = fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record with ``changes`` over ``record``'s fields, validated anew."""
+    values = {name: getattr(record, name) for name in record._fields}
+    return record.__class__(**(values | changes))
+
+
 def _as_int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise DimensionMismatch(f"{what} must be an integer, got {x!r}")
@@ -46,8 +108,7 @@ def as_vector(v, rank: int, what: str = "vector") -> Vec:
     return vec
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """An even nondegenerate lattice of signature (1, rank-1)."""
 
     gram: Mat
@@ -119,8 +180,7 @@ def reflection_matrix(lat: Lattice, delta) -> Mat:
     )
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """An integer matrix preserving the pairing (hence of determinant +-1)."""
 
     lattice: Lattice

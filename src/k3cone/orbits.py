@@ -18,7 +18,6 @@ the representative set — and are never silently claimed complete.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
 
@@ -26,13 +25,12 @@ from . import linalg
 from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
-from .lattice import Lattice, Vec, as_vector
+from .lattice import Lattice, Record, Vec, as_vector
 from .sterk import SterkDomain, _reducer
 from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(Record):
     """One orbit: its canonical representative and how it was reached."""
 
     representative: Vec
@@ -42,8 +40,7 @@ class OrbitEntry:
     members: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(Record):
     kind: str
     genus: int | None
     entries: tuple[OrbitEntry, ...]

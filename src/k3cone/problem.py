@@ -21,19 +21,17 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import enumeration
 from .errors import GeometryError, NonPositiveAmple, ProblemFormatError
 from .groups import GroupGenerators, SupersingularDatum, build_group
-from .lattice import Lattice, Mat, Vec, as_vector
+from .lattice import Lattice, Mat, Record, Vec, as_vector, replace
 from .report import encode
 from .weyl import Bounds, NefDescription, nef_walls
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     lattice: Lattice
     ample: Vec
     generator_matrices: tuple[Mat, ...]

@@ -28,7 +28,6 @@ a certificate of what was actually established.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 
@@ -37,12 +36,11 @@ from .cones import DoubleDescription, RationalCone, interiors_disjoint, transfor
 from .enumeration import _positive_closure
 from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
-from .lattice import Lattice, Vec, as_vector, primitive_ray
+from .lattice import Lattice, Record, Vec, as_vector, primitive_ray
 from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, _walker
 
 
-@dataclass(frozen=True)
-class OrbitCut:
+class OrbitCut(Record):
     """One inequality of the domain, with the orbit point that produced it."""
 
     normal: Vec
@@ -50,8 +48,7 @@ class OrbitCut:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SterkDomain:
+class SterkDomain(Record):
     """The domain's cone and cuts; ``nef`` is the chamber it was cut from."""
 
     cone: RationalCone
@@ -198,8 +195,7 @@ def _reducer(lat: Lattice, ample: Vec, group: GroupGenerators, domain: SterkDoma
     return reduce
 
 
-@dataclass(frozen=True)
-class FundamentalCertificate:
+class FundamentalCertificate(Record):
     """What the sampled checks established.
 
     ``stabilizer_words`` lists group elements that carry the domain onto

@@ -56,7 +56,6 @@ with the bound on record: honest, but no certificate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -71,11 +70,10 @@ from .enumeration import (
     rational_isotropic_rays,
 )
 from .errors import BrokenInvariant, GeometryError
-from .lattice import Isometry, Lattice, Vec, as_vector, reflection_matrix
+from .lattice import Isometry, Lattice, Record, Vec, as_vector, reflection_matrix
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """The table of default bounds; its class attributes are the defaults.
 
     ``ceiling`` counts the bound doublings a search makes before it gives up;
@@ -99,8 +97,7 @@ ISOTROPY_BOX = 10  # the coordinate box of the isotropic search
 DOT_WORD_LENGTH = 2  # the word length of the translates drawn by ``sterk --dot``
 
 
-@dataclass(frozen=True)
-class NefDescription:
+class NefDescription(Record):
     """Wall data for the ample chamber; ``cone`` is the certified chamber.
 
     Without a cone the walls are the partial answer: the walls up to the

@@ -414,6 +414,25 @@ def test_out_flag_writes_file_and_silences_stdout(tmp_path, capsys):
     assert saved["command"] == "walls"
 
 
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "report.json"
+    code, rep, err = run(capsys, "validate", L_U, "--out", str(target))
+    assert code == 1
+    assert rep is None
+    assert err["error"] == "input"
+    assert err["type"] == "FileNotFoundError"
+    assert not target.exists()
+
+
+def test_unwritable_dot_path_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "adj.dot"
+    code, rep, err = run(capsys, "sterk", L_P, "--dot", str(target))
+    assert code == 1
+    assert rep is None
+    assert err["error"] == "input"
+    assert err["type"] == "FileNotFoundError"
+
+
 DOT_SHA256 = {
     L_P: "006b211f32b3cabd4b875f058b55dfaccc900f16dea2cec7341c8e90ad8edd50",
     L_R: "baee22120fd5d00a7662cde3f47ba5d3ee41e695518d8ac24a095cfe457dcf0e",

@@ -1,6 +1,9 @@
-"""Zero runtime dependencies: the package imports the standard library only."""
+"""Zero runtime dependencies: the package imports the standard library only,
+and starting a command does not import what it never uses."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +29,22 @@ def test_every_absolute_import_is_in_the_standard_library():
         for path in sources
     }
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running ``code``."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    return set(done.stdout.split())
+
+
+def test_starting_the_cli_does_not_import_dataclasses():
+    """dataclasses imports inspect, ast, dis and tokenize and generates each
+    class's methods on import: start-up work that no command needs."""
+    added = loaded_modules("import k3cone.cli") - loaded_modules("pass")
+    assert "k3cone.cli" in added
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"} & added == set()

@@ -1,11 +1,15 @@
-"""Gram validation, pairing arithmetic, reflections, and isometry algebra."""
+"""Gram validation, pairing arithmetic, reflections, isometry algebra, and
+the frozen value records the package returns."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import k3cone
 from k3cone import (
+    Bounds,
     Degenerate,
     DimensionMismatch,
     Isometry,
@@ -180,3 +184,89 @@ def test_primitive_ray():
     assert primitive_ray((7,)) == (1,)
     with pytest.raises(ZeroVector):
         primitive_ray((0, 0))
+
+
+# ---------------------------------------------------------------- value records
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    lat = Lattice(GRAM_P)
+    with pytest.raises(AttributeError):
+        lat.gram = GRAM_U
+    with pytest.raises(AttributeError):
+        del lat.gram
+    with pytest.raises(AttributeError):
+        Bounds().ceiling = 3
+    assert lat.gram == GRAM_P
+
+
+def test_records_compare_and_hash_by_value_within_one_class():
+    assert Lattice(GRAM_P) == Lattice(GRAM_P)
+    assert hash(Lattice(GRAM_P)) == hash(Lattice(GRAM_P))
+    assert Lattice(GRAM_P) != Lattice(GRAM_R)
+    assert len({Lattice(GRAM_P), Lattice(GRAM_P), Lattice(GRAM_R)}) == 2
+    values = (1, 2, 3, 4, 5)
+    entry, table = k3cone.OrbitEntry(*values), k3cone.OrbitTable(*values)
+    assert entry == k3cone.OrbitEntry(*values)
+    assert entry != table and table != entry
+    assert Bounds(*values) != entry
+
+
+def test_record_construction_by_position_keyword_and_default():
+    assert Bounds() == Bounds(12, None, 200, 3, 0)
+    assert Bounds(5) == Bounds(ceiling=5) == Bounds(5, samples=200)
+    assert Bounds(seed=7).seed == 7 and Bounds(seed=7).ceiling == Bounds.ceiling
+    cut = k3cone.OrbitCut(normal=(1, 0), orbit_point=(2, 1), word=(0,))
+    assert cut == k3cone.OrbitCut((1, 0), (2, 1), (0,))
+    assert (cut.normal, cut.orbit_point, cut.word) == ((1, 0), (2, 1), (0,))
+    with pytest.raises(TypeError):
+        k3cone.OrbitCut((1, 0), (2, 1))  # a field without a default is missing
+    with pytest.raises(TypeError):
+        Bounds(depth=3)
+    with pytest.raises(TypeError):
+        Bounds(1, 2, 3, 4, 5, 6)
+    with pytest.raises(TypeError):
+        Lattice()
+
+
+def test_replace_builds_a_new_validated_record():
+    lat = Lattice(GRAM_P)
+    assert k3cone.replace(Bounds(), ceiling=3) == Bounds(ceiling=3)
+    assert k3cone.replace(lat, gram=GRAM_R) == Lattice(GRAM_R)
+    assert lat.gram == GRAM_P
+    with pytest.raises(OddLattice):
+        k3cone.replace(lat, gram=((3, 0), (0, -2)))
+    with pytest.raises(TypeError):
+        k3cone.replace(lat, rank=2)
+
+
+def test_record_repr_is_the_field_listing():
+    assert repr(Bounds()) == "Bounds(ceiling=12, enumeration=None, samples=200, word_length=3, seed=0)"
+    assert repr(Lattice(GRAM_P)) == "Lattice(gram=((4, 0), (0, -2)))"
+    assert repr(Isometry(Lattice(GRAM_U), ((0, 1), (1, 0)))) == (
+        "Isometry(lattice=Lattice(gram=((0, 1), (1, 0))), matrix=((0, 1), (1, 0)))"
+    )
+
+
+RECORDS = (
+    "RationalCone", "Lattice", "Isometry", "GeneratorReport", "GroupGenerators",
+    "SupersingularDatum", "Bounds", "NefDescription", "OrbitCut", "SterkDomain",
+    "FundamentalCertificate", "OrbitEntry", "OrbitTable", "Problem",
+)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_signatures_reject_an_unknown_field(name):
+    with pytest.raises(TypeError):
+        inspect.signature(getattr(k3cone, name)).bind(no_such_field=None)
+
+
+def test_record_signatures_name_their_fields():
+    with pytest.raises(TypeError):
+        inspect.signature(k3cone.Lattice).bind()
+    with pytest.raises(TypeError):
+        inspect.signature(k3cone.Lattice).bind(GRAM_P, GRAM_P)
+    inspect.signature(k3cone.Lattice).bind(gram=GRAM_P)
+    assert list(inspect.signature(Bounds).parameters) == [
+        "ceiling", "enumeration", "samples", "word_length", "seed",
+    ]

@@ -6,7 +6,6 @@ the ample class; saturation means no generator lowers an extreme ray's degree.
 """
 
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -32,6 +31,7 @@ from k3cone import (
     orbit_of_ample,
     primitive_ray,
     reduce_to_domain,
+    replace,
     sterk_domain,
     verify_fundamental,
 )
