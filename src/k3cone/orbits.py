@@ -134,13 +134,15 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     The norm 2g-2 classes (primitive isotropic ones when genus is None) are
     reduced once, up to twice the bound.  The bound's table merges the
     sources of degree <= bound, in lex order; the doubled table only supplies
-    the representative set that decides stability.
+    the representative set that decides stability.  A bound below 1 raises
+    UnboundedQuery: doubling it does not grow it, so its empty table would
+    be compared with itself.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
-    if bound < 0:
-        raise UnboundedQuery("the degree bound must be non-negative")
+    if bound < 1:
+        raise UnboundedQuery(f"the degree bound {bound} is below 1, which doubling never grows")
     if genus is None:
         classes = isotropics_up_to_degree(lat, ample, 2 * bound)
     else:

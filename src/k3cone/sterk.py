@@ -22,7 +22,13 @@ class's positive closure and each endpoint's membership in the domain.
 check and the orbit tables build one per call and apply it to every class.
 ``verify_fundamental`` spot-checks the two fundamental-domain properties
 (coverage on random samples, disjoint interiors of translates) and returns
-a certificate of what was actually established.
+a certificate of what was actually established.  Each translate gD is
+decided exactly, first by a separating cut: for h = gH != H, a domain D of
+Dirichlet type lies in {x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0},
+so D and gD share no interior point.  The check runs on D's rays and their
+images, which generate D and gD when D is pointed.  Only a word the cut does
+not settle, which a hand-built domain allows, costs a double description of
+D and gD together.
 """
 
 from __future__ import annotations
@@ -164,31 +170,40 @@ def _reducer(lat: Lattice, ample: Vec, group: GroupGenerators, domain: SterkDoma
     """
     walk = _walker(lat, ample, domain.nef)
     mats, inv = group.gens, group.inverses
-    # (tier, word, row): generators are tier 0, cut inverses tier 1; a move m
-    # sends the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)
-    moves = sorted(
-        [(0, (i,), lat._dual(linalg.mat_vec(mats[j], ample))) for i, j in enumerate(inv)]
-        + [(1, tuple(inv[i] for i in reversed(c.word)), lat._dual(c.orbit_point))
-           for c in domain.cuts],
-        key=lambda m: (m[0], len(m[1]), m[1]),
+    # (word, row) in two tiers, generators before cut inverses; a move m sends
+    # the degree H.y to m^-1(H).y, the dot product of y with G m^-1(H)
+    tiers = (
+        [((i,), lat._dual(linalg.mat_vec(mats[j], ample))) for i, j in enumerate(inv)],
+        sorted(
+            ((tuple(inv[i] for i in reversed(c.word)), lat._dual(c.orbit_point))
+             for c in domain.cuts),
+            key=lambda m: (len(m[0]), m[0]),
+        ),
     )
-    normals = domain.cone.normals
+    dual_ample = lat._dual(ample)
+    # n.y is the dot product of y with G n, since G is symmetric
+    dual_normals = [lat._dual(n) for n in domain.cone.normals]
 
     def reduce(x: Vec) -> tuple[Vec, tuple[Vec, ...], tuple[int, ...]]:
         y, reflections = walk(_positive_closure(lat, ample, x))
-        degree = lat._pair(ample, y)
+        degree = sum(map(mul, dual_ample, y))
         word = ()
         while True:
-            lower = [(t, d, w) for t, w, row in moves if (d := sum(map(mul, row, y))) < degree]
-            if not lower:
-                break
-            # min keeps the first of equal (tier, degree): the shortest, smallest word
-            _, degree, w = min(lower, key=lambda m: m[:2])
-            for i in w:
+            # the first tier with a move that lowers the degree gives the move
+            # of least image degree, the first (shortest, smallest word) of equals
+            for tier in tiers:
+                move = None
+                for w, row in tier:
+                    if (d := sum(map(mul, row, y))) < degree:
+                        degree, move = d, w
+                if move:
+                    break
+            else:
+                break  # no move lowers the degree
+            for i in move:
                 y = linalg.mat_vec(mats[i], y)
-            word += w
-        gy = lat._dual(y)
-        if any(sum(map(mul, n, gy)) < 0 for n in normals):
+            word += move
+        if any(sum(map(mul, n, y)) < 0 for n in dual_normals):
             raise CoverageFailure(x, y)
         return y, reflections, word
 
@@ -229,6 +244,18 @@ def group_words(group: GroupGenerators, length: int):
     return sorted(elements.items())
 
 
+def _cut_separates(lat: Lattice, ample: Vec, g, rays, images) -> bool:
+    """Whether the cut of h = gH separates a cone's rays from their images:
+    h != H, the rays pair >= 0 with h - H and the images pair <= 0."""
+    h = linalg.mat_vec(g, ample)
+    if h == ample:
+        return False
+    cut = lat._dual(tuple(a - b for a, b in zip(h, ample)))
+    return all(sum(map(mul, cut, r)) >= 0 for r in rays) and all(
+        sum(map(mul, cut, y)) <= 0 for y in images
+    )
+
+
 def verify_fundamental(
     lat: Lattice,
     ample,
@@ -249,8 +276,13 @@ def verify_fundamental(
     every distinct group element spelled by a word of at most
     ``word_length`` generators: its translate of the domain must either
     coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
-    the ample class) or meet it in no interior point.  A negative
-    ``samples`` or ``word_length`` raises GeometryError.
+    the ample class) or meet it in no interior point.  On a pointed domain
+    the cut of h = gH != H decides the second exactly, when the domain's
+    rays pair >= 0 with h - H and their images pair <= 0; only a word the
+    cut does not settle runs the double description of the domain and its
+    translate.  A negative ``samples`` or ``word_length`` raises
+    GeometryError, and so does a domain that is not full-dimensional, at its
+    first word that is not a stabilizer.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if samples < 0:
@@ -260,6 +292,7 @@ def verify_fundamental(
     rays_nef = _nef_rays(lat, ample, domain.cone.rays)
 
     basis = nef.rays or (ample,) + domain.cone.rays
+    columns = tuple(zip(*basis))
     rng = random.Random(seed)
     reduce = _reducer(lat, ample, group, domain)
     failures = []
@@ -267,7 +300,7 @@ def verify_fundamental(
         coeffs = [rng.randint(0, 6) for _ in basis]
         if not any(coeffs):
             coeffs[rng.randrange(len(basis))] = 1
-        x = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(lat.rank))
+        x = tuple(sum(map(mul, coeffs, col)) for col in columns)
         for _ in range(rng.randint(0, word_length)):
             if group.gens:
                 x = linalg.mat_vec(group.gens[rng.randrange(len(group.gens))], x)
@@ -277,16 +310,25 @@ def verify_fundamental(
             failures.append(x)
     coverage_ok = not failures
 
+    cone = domain.cone
+    # the rays generate a pointed cone, so they decide its stabilizers and
+    # cuts; a cone that is not full-dimensional is left to the guard in
+    # interiors_disjoint, since the cut would pass it
+    by_rays = cone.pointed and cone.full_dim
     overlaps = []
     stabilizers = []
     for g, word in group_words(group, word_length):
-        translate = transform_cone(lat, domain.cone, g)
-        if (
-            translate.rays == domain.cone.rays
-            and translate.lineality == domain.cone.lineality
-        ):
+        if by_rays:
+            images = [linalg.mat_vec(g, r) for r in cone.rays]
+            if tuple(sorted(map(primitive_ray, images))) == cone.rays:
+                stabilizers.append(word)
+                continue
+            if _cut_separates(lat, ample, g, cone.rays, images):
+                continue
+        translate = transform_cone(lat, cone, g)
+        if translate.rays == cone.rays and translate.lineality == cone.lineality:
             stabilizers.append(word)
-        elif not interiors_disjoint(lat, domain.cone, translate):
+        elif not interiors_disjoint(lat, cone, translate):
             overlaps.append(word)
     tiling_ok = not overlaps
 

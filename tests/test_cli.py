@@ -287,6 +287,35 @@ def test_orbits_genus_requires_genus_flag(capsys):
     assert err is not None
 
 
+@pytest.mark.parametrize("kind", [("elliptic",), ("genus", "--genus", "2")])
+def test_orbit_table_at_bound_0_is_an_input_error(capsys, kind):
+    """A bound of 0 doubles to 0, so its empty table is not evidence of stability."""
+    code, rep, err = run(capsys, "orbits", L_U, "--kind", *kind, "--bound", "0")
+    assert code == 1
+    assert rep is None
+    assert (err["error"], err["type"]) == ("input", "UnboundedQuery")
+
+
+def test_orbit_table_at_file_enumeration_bound_0_is_an_input_error(tmp_path, capsys):
+    data = json.loads((PROBLEMS / "l_u.json").read_text())
+    data["bounds"] = {"enumeration": 0}
+    prob = tmp_path / "zero.json"
+    prob.write_text(json.dumps(data))
+    code, rep, err = run(capsys, "orbits", str(prob), "--kind", "elliptic")
+    assert code == 1
+    assert (err["error"], err["type"]) == ("input", "UnboundedQuery")
+    # roots up to degree 0 is a complete, empty answer
+    code, rep = run_valid(capsys, "roots", str(prob))
+    assert code == 0
+    assert (rep["results"]["bound"], rep["results"]["roots"]) == ("0", [])
+
+
+def test_roots_at_bound_0_stay_valid(capsys):
+    code, rep = run_valid(capsys, "roots", L_U, "--bound", "0")
+    assert code == 0
+    assert (rep["results"]["count"], rep["results"]["roots"]) == ("0", [])
+
+
 def test_isotropic_found(capsys):
     code, rep = run_valid(capsys, "isotropic", L_U, "--bound", "1")
     assert code == 0

@@ -167,6 +167,20 @@ def test_entry_words_replay_to_representative(setups):
                 assert v == e.representative
 
 
+def test_orbit_tables_need_a_bound_of_at_least_1(setups):
+    """Doubling a bound of 0 gives 0, so stability would compare two empty
+    tables; L_U's one elliptic orbit, (1, 0), already shows at bound 1."""
+    lat, ample, grp, nef, dom = setups["U"]
+    for bound in (0, -3):
+        with pytest.raises(UnboundedQuery):
+            elliptic_orbits(lat, ample, grp, dom, bound)
+        with pytest.raises(UnboundedQuery):
+            genus_orbits(lat, ample, grp, nef, dom, 2, bound)
+    tab = elliptic_orbits(lat, ample, grp, dom, 1)
+    assert [e.representative for e in tab.entries] == [(1, 0)]
+    assert tab.stable
+
+
 # ---------------------------------------------------------------- isotropic search
 
 

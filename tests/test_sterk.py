@@ -27,12 +27,14 @@ from k3cone import (
     contains,
     elliptic_orbits,
     genus_orbits,
+    interiors_disjoint,
     nef_walls,
     orbit_of_ample,
     primitive_ray,
     reduce_to_domain,
     replace,
     sterk_domain,
+    transform_cone,
     verify_fundamental,
 )
 from k3cone.sterk import _reducer, group_words
@@ -310,18 +312,69 @@ def test_fundamental_certificate_holds_where_greedy_descent_stuck(name, seed):
     assert cert.ok
 
 
-def test_overlapping_domain_fails_tiling(setups):
+def test_overlapping_domain_fails_tiling(setups, monkeypatch):
     latP, ampleP, grpP, nefP, domP = setups["P"]
     # widen the true domain past its cut: the gamma_P translate now overlaps
     wide = cone_from_inequalities(latP, [(0, -1), (5, 8)])
     assert wide.rays == ((1, 0), (4, 5))
     fake = SterkDomain(cone=wide, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    decided = []
+
+    def recorded(lat, a, b):
+        decided.append((b.rays, interiors_disjoint(lat, a, b)))
+        return decided[-1][1]
+
+    monkeypatch.setattr("k3cone.sterk.interiors_disjoint", recorded)
     cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=40, word_length=2, seed=1)
     assert not cert.tiling_ok
     assert (0,) in cert.tiling_overlaps
     assert not cert.ok
     # coverage still passes: the true domain sits inside the widened cone
     assert cert.coverage_ok
+    # the ray (4, 5) = gamma_P(H) pairs -8 with gamma_P(H) - H, so the cut does
+    # not settle the word; the double description decides it and finds the overlap
+    assert (transform_cone(latP, wide, GAMMA_P).rays, False) in decided
+
+
+@pytest.mark.parametrize(
+    "normals, rays",
+    [([(0, 1), (0, -1), (1, 0)], ((1, 0),)), ([(1, 0), (-1, 0)], ())],
+    ids=["half-line", "line"],
+)
+def test_domain_that_is_not_full_dimensional_raises(setups, normals, rays):
+    """The half-line through (1, 0) lies on the near side of the cut of
+    gamma_P(H) = (4, 5), and its image through (3, 4) on the far side; tiles
+    must still be full-dimensional, whether the cut or the double
+    description would decide the word."""
+    latP, ampleP, grpP, nefP, _ = setups["P"]
+    cone = cone_from_inequalities(latP, normals)
+    assert cone.rays == rays
+    assert not cone.full_dim
+    fake = SterkDomain(cone=cone, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    with pytest.raises(GeometryError):
+        verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=0, word_length=2)
+
+
+@pytest.mark.parametrize(
+    "source, name", [("rank2", n) for n in sorted(RANK2)] + [("fixture", n) for n in "UPR"]
+)
+def test_the_separating_cut_decides_every_translate(setups, source, name):
+    """For each word g of length <= 4 that is not a stabilizer, the cut of
+    h = gH != H has the domain D on its near side and gD on its far side, so
+    D and gD share no interior point; the double description agrees."""
+    lat, ample, grp, nef, dom = _setup(name) if source == "rank2" else setups[name]
+    cone = dom.cone
+    assert cone.pointed and cone.full_dim
+    for g, word in group_words(grp, 4):
+        translate = transform_cone(lat, cone, g)
+        if translate.rays == cone.rays and translate.lineality == cone.lineality:
+            continue
+        h = O.apply_matrix(g, ample)
+        assert h != tuple(ample), word
+        cut = tuple(a - b for a, b in zip(h, ample))
+        assert all(O.pairing(lat.gram, r, cut) >= 0 for r in cone.rays), word
+        assert all(O.pairing(lat.gram, r, cut) <= 0 for r in translate.rays), word
+        assert interiors_disjoint(lat, cone, translate), word
 
 
 def test_domain_ray_outside_the_positive_cone_is_not_nef(setups):
