@@ -1,11 +1,10 @@
 """Exact chamber geometry for even hyperbolic lattices.
 
-Everything is exact integer arithmetic, and row elimination is fraction-free;
-Fractions remain only in the ratios of the symmetric reduction
-(``linalg.ldl``).  Signatures come by symmetric congruence
-reduction, class enumeration by definite-slice search, cones by the double
-description method, chamber walks by reflection, fundamental domains by orbit
-cuts, and orbit tables by reduce-and-merge canonicalization.
+Everything is exact integer arithmetic, and every elimination is
+fraction-free.  Signatures come by symmetric congruence reduction, class
+enumeration by definite-slice search, cones by the double description
+method, chamber walks by reflection, fundamental domains by orbit cuts, and
+orbit tables by reduce-and-merge canonicalization.
 """
 
 from .cones import (
@@ -22,9 +21,7 @@ from .enumeration import (
     isotropics_up_to_degree,
     rational_isotropic_rays,
     roots_up_to_degree,
-    separating_degree_bound,
     separating_roots,
-    vectors_norm_degree,
 )
 from .errors import (
     AmpleOnWall,
@@ -77,7 +74,7 @@ from .sterk import (
     sterk_domain,
     verify_fundamental,
 )
-from .weyl import Bounds, NefDescription, nef_test, nef_walls, walk_to_nef, word_isometry
+from .weyl import Bounds, NefDescription, nef_test, nef_walls, walk_to_nef
 
 __version__ = "0.1.0"
 
@@ -144,15 +141,12 @@ __all__ = [
     "replace",
     "report_schema",
     "roots_up_to_degree",
-    "separating_degree_bound",
     "separating_roots",
     "serialize_problem",
     "sterk_domain",
     "transform_cone",
     "validate_problem",
-    "vectors_norm_degree",
     "verify_fundamental",
     "verify_generator",
     "walk_to_nef",
-    "word_isometry",
 ]

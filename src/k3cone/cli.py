@@ -27,6 +27,7 @@ from .groups import filter_preserving_K
 from .orbits import (
     ISOTROPY_ADVICE,
     OrbitTable,
+    check_table_bound,
     elliptic_orbits,
     find_isotropic,
     genus_orbits,
@@ -205,6 +206,8 @@ def _cmd_orbits(problem: Problem, args):
             raise GeometryError("--kind genus requires --genus")
         if args.genus < 0:
             raise GeometryError("genus must be non-negative")
+    if args.kind == "elliptic" or (args.kind == "genus" and args.genus >= 1):
+        check_table_bound(bound)  # before the domain, which may not exist
     lat, ample, group, nef = problem.lattice, problem.ample, problem.group, problem.nef
     domain, warnings = _domain(problem)
     if domain is None or not domain.saturated:

@@ -4,9 +4,9 @@ The key observation: for an ample class H, the affine slice ``{x : x.H = d}``
 becomes, after splitting off H, a coset of the negative definite sublattice
 ``H-perp``.  Enumerating a fixed norm on such a slice is a bounded search, run
 as an integer-scaled Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44,
-1985): the rational LDL^T split of the slice form is computed once per (L, H)
-and scaled to integers, so the search compares integers against ``isqrt``
-bounds and builds no fraction per node.  Each (L, H) also keeps one
+1985): the fraction-free LDL^T split of the slice form is computed once per
+(L, H) and scaled to integers, so the search compares integers against
+``isqrt`` bounds and builds no fraction at all.  Each (L, H) also keeps one
 degree-ordered stream per norm -- the vectors found so far and the degree
 scanned up to -- which degree-bounded queries extend past that mark and slice.
 
@@ -48,7 +48,8 @@ class _Slice:
 
     A point of degree ``k * content`` is ``k * base + c . kernel``; its norm
     is ``n`` exactly when ``(c - z)^T Q (c - z) = radius`` for the definite
-    ``Q = -(A|kernel) = U^T D U``.  ``delta``, ``p`` and ``lc`` clear the
+    ``Q = -(A|kernel) = U^T D U``, whose ``U`` and ``D`` are read from the
+    minors of ``linalg.ldl``.  ``delta``, ``p`` and ``lc`` clear the
     denominators of ``Q^-1``, ``U`` and ``D``, so the search runs on integers.
     """
 
@@ -60,15 +61,17 @@ class _Slice:
         self.base = cols[0]  # degree(base) = content
         self.kernel = cols[1:]  # saturated basis of the degree-zero sublattice
         neg = [[-lat._pair(a, b) for b in self.kernel] for a in self.kernel]
-        d, ratios = linalg.ldl(neg)  # rational LDL^T, once per (L, H)
-        if any(x <= 0 for x in d):
+        minors, rows = linalg.ldl(neg)  # fraction-free, once per (L, H)
+        if len(minors) < len(neg) or any(x <= 0 for x in minors):
             raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
         adj, det = linalg.scaled_inverse(neg)  # Q^-1 = adj / det, fraction-free
         delta = abs(det) // gcd(det, *(x for row in adj for x in row))
-        p = lcm(*(x.denominator for row in ratios for x in row))
-        lc = lcm(*(x.denominator for x in d))
-        self.pu = [[int(p * x) for x in row] for row in ratios]
-        self.diag = [int(lc * x) for x in d]
+        # U[k][i] = rows[k][i] / m_k and D_k = m_k / m_(k-1), for the minors m
+        lower = (1,) + minors[:-1]
+        p = lcm(*(m // gcd(m, *row) for m, row in zip(minors, rows)))
+        lc = lcm(*(m // gcd(m, x) for m, x in zip(lower, minors)))
+        self.pu = [[p * x // m for x in row] for m, row in zip(minors, rows)]
+        self.diag = [lc * x // m for m, x in zip(lower, minors)]
         self.delta, self.p, self.top = delta, p, p * p * delta * lc
         # at degree k * content: delta * z = k * centre and
         # delta * radius = k^2 * quad - delta * norm
@@ -137,12 +140,6 @@ def _slice_for(lat: Lattice, ample: Vec) -> _Slice:
     return _Slice(lat, ample)
 
 
-def vectors_norm_degree(lat: Lattice, ample, norm: int, degree: int) -> tuple[Vec, ...]:
-    """All x with x.x == norm and x.H == degree, lex-sorted.  Complete."""
-    ample = as_vector(ample, lat.rank, "ample class")
-    return _slice_for(lat, ample).query(norm, degree)
-
-
 def classes_up_to_degree(
     lat: Lattice, ample, norm: int, bound: int, primitive_only: bool = False
 ) -> tuple[Vec, ...]:
@@ -192,13 +189,6 @@ def check_off_walls(lat: Lattice, ample: Vec) -> None:
     on_wall = _slice_for(lat, ample).query(ROOT_NORM, 0)
     if on_wall:
         raise AmpleOnWall(on_wall[0])
-
-
-def separating_degree_bound(lat: Lattice, ample, x) -> int:
-    """Certified upper bound for delta.H over roots separating x from H."""
-    ample = as_vector(ample, lat.rank, "ample class")
-    x = check_positive_closure(lat, ample, x)
-    return _degree_bound(lat._pair(ample, ample), lat._pair(ample, x), lat._pair(x, x))
 
 
 def _degree_bound(h2: int, hx: int, x2: int) -> int:

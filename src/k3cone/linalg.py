@@ -1,15 +1,15 @@
 """Exact linear algebra over Python integers.
 
 Everything in here is dense and small: ambient ranks stay in single digits,
-so clarity wins over asymptotics.  No floats anywhere.  Row elimination is
-fraction-free (``echelon``), and inverses come scaled to integers
-(``scaled_inverse``); Fractions remain only in ``ldl``'s ratios.
+so clarity wins over asymptotics.  No floats anywhere, and every entry is
+an integer: row elimination (``echelon``) and symmetric elimination
+(``ldl``) are fraction-free, and inverses come scaled to integers
+(``scaled_inverse``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import NotUnimodular
@@ -58,7 +58,7 @@ def vec_gcd(v) -> int:
 
 
 def echelon(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+    """Gauss-Jordan elimination, fraction-free (Bareiss, Math. Comp. 22, 1968).
 
     Returns ``(rows, pivots, d)``: the non-zero rows of ``d`` times the
     reduced row echelon form over Q, their pivot columns, and ``d``, the last
@@ -111,23 +111,25 @@ def invert_unimodular(m):
 
 
 def ldl(sym):
-    """Symmetric Gaussian reduction of a symmetric matrix: ``(diag, ratios)``.
+    """Symmetric elimination, fraction-free, of a symmetric matrix: ``(minors, rows)``.
 
-    Congruence transformations only, exact: integers, and Fractions once a
-    pivot divides.  Each step pivots on the first remaining index whose
-    diagonal entry is non-zero and clears its row and column, recording
-    ``ratios[k][i]`` = entry / pivot; when every remaining diagonal entry
-    vanishes, an off-diagonal entry is folded onto the diagonal first.
-    ``diag`` is the diagonal of the final, congruent diagonal matrix, so its
-    signs give the inertia.  A matrix whose pivots never vanish (a definite
-    one) never folds: its pivots come in index order and
-    ``sym = U^T diag(diag) U`` for the unit upper triangular ``U`` with
-    ``U[k][i] = ratios[k][i]`` above the diagonal.
+    Congruence transformations only, in integers: the Bareiss step of
+    ``echelon`` applied to rows and columns at once.  Each step pivots on the
+    first remaining index whose diagonal entry is non-zero; when every
+    remaining diagonal entry vanishes, an off-diagonal entry is folded onto
+    the diagonal first, and a zero remaining block stops the elimination.
+    ``minors[k]`` is the k-th pivot, a leading principal minor in pivot
+    order, and ``rows[k]`` its pivot row, zero off the columns still active.
+    A fold is a congruence on unpivoted indices, so it leaves the earlier
+    minors alone and every division stays exact.  The congruent diagonal is
+    ``minors[k] / minors[k-1]`` (with ``minors[-1] == 1``).  A definite
+    matrix never folds: its pivots come in index order and
+    ``sym[i][j] == sum(rows[k][i] * rows[k][j] / (minors[k-1] * minors[k]))``.
     """
     n = len(sym)
     a = [list(row) for row in sym]
-    ratios = [[0] * n for _ in range(n)]
     active = list(range(n))
+    minors, rows, prev = [], [], 1
     while active:
         k = next((i for i in active if a[i][i] != 0), None)
         if k is None:
@@ -143,22 +145,24 @@ def ldl(sym):
             for r in active:
                 a[r][i] += a[r][j]
             continue
-        active.remove(k)
         pivot, d = a[k], a[k][k]
-        # only the remaining block is read again: it becomes the Schur complement
+        rows.append(tuple(pivot[c] if c in active else 0 for c in range(n)))
+        active.remove(k)
+        # only the remaining block is read again: it becomes d times the Schur complement
         for i in active:
-            if pivot[i] != 0:
-                f = ratios[k][i] = Fraction(pivot[i], d)
-                row = a[i]
-                for c in active:
-                    row[c] -= f * pivot[c]
-    return tuple(a[i][i] for i in range(n)), ratios
+            row, f = a[i], pivot[i]
+            for c in active:
+                row[c] = (d * row[c] - f * pivot[c]) // prev
+        minors.append(d)
+        prev = d
+    return tuple(minors), tuple(rows)
 
 
 def signature(gram) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly."""
-    diag = ldl(gram)[0]
-    return sum(d > 0 for d in diag), sum(d < 0 for d in diag), sum(d == 0 for d in diag)
+    minors = ldl(gram)[0]
+    signs = [a * b for a, b in zip((1,) + minors, minors)]
+    return sum(s > 0 for s in signs), sum(s < 0 for s in signs), len(gram) - len(minors)
 
 
 def split_linear_form(c):

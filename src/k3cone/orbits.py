@@ -128,6 +128,12 @@ def nodal_orbits(
     )
 
 
+def check_table_bound(bound: int | None) -> None:
+    """Raise UnboundedQuery for a table bound below 1; None means the default."""
+    if bound is not None and bound < 1:
+        raise UnboundedQuery(f"the degree bound {bound} is below 1, which doubling never grows")
+
+
 def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     """The table up to the degree bound, stable when doubling it adds no orbit.
 
@@ -141,8 +147,7 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     ample = as_vector(ample, lat.rank, "ample class")
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
-    if bound < 1:
-        raise UnboundedQuery(f"the degree bound {bound} is below 1, which doubling never grows")
+    check_table_bound(bound)
     if genus is None:
         classes = isotropics_up_to_degree(lat, ample, 2 * bound)
     else:

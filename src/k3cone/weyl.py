@@ -59,7 +59,6 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from . import linalg
 from .cones import DoubleDescription, RationalCone
 from .enumeration import (
     _degree_bound,
@@ -70,7 +69,7 @@ from .enumeration import (
     rational_isotropic_rays,
 )
 from .errors import BrokenInvariant, GeometryError
-from .lattice import Isometry, Lattice, Record, Vec, as_vector, reflection_matrix
+from .lattice import Lattice, Record, Vec, as_vector
 
 
 class Bounds(Record):
@@ -241,14 +240,6 @@ def nef_test(lat: Lattice, ample, x) -> bool:
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
     return next(_separating(lat, ample, x), None) is None
-
-
-def word_isometry(lat: Lattice, word) -> Isometry:
-    """The composite isometry of a reflection word, applied in word order."""
-    m = linalg.identity(lat.rank)
-    for delta in word:
-        m = linalg.mat_mul(reflection_matrix(lat, delta), m)
-    return Isometry(lat, m)
 
 
 def _facet_witness(lat, cone, wall):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3cone import Lattice, build_group, nef_walls, sterk_domain, validate_problem
+from k3cone import Lattice, build_group, enumeration, nef_walls, sterk_domain, validate_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -20,6 +20,16 @@ GAMMA_P = ((3, -2), (4, -3))
 G_R = ((0, -1), (1, 7))
 SWAP = ((0, 1), (1, 0))
 GENS = {"U": [], "P": [GAMMA_P], "R": [G_R, SWAP]}
+
+
+def norm_degree(lat, ample, norm, degree):
+    """All x with x.x == norm and x.H == degree, lex-sorted: one slice query."""
+    return enumeration._slice_for(lat, tuple(ample)).query(norm, degree)
+
+
+def separating_bound(lat, ample, x):
+    """The package's degree bound for roots separating x from H."""
+    return enumeration._degree_bound(lat.norm(ample), lat.pairing(ample, x), lat.norm(x))
 
 
 @pytest.fixture(scope="session")

@@ -137,6 +137,47 @@ def inverse_over_q(m):
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def ldl_over_q(sym):
+    """Symmetric Gaussian reduction in Fractions: ``(diag, ratios, order)``.
+
+    The reference for the fraction-free ``linalg.ldl``.  Each step pivots on
+    the first remaining index whose diagonal entry is non-zero and clears its
+    row and column, recording ``ratios[k][i]`` = entry / pivot; when every
+    remaining diagonal entry vanishes, an off-diagonal entry is folded onto
+    the diagonal first.  ``diag`` is the diagonal of the final congruent
+    matrix, and ``order`` lists the pivoted indices in turn.  A definite
+    matrix never folds, and ``sym = U^T diag(diag) U`` for the unit upper
+    triangular ``U`` with ``ratios`` above the diagonal.
+    """
+    n = len(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
+    ratios = [[Fraction(0)] * n for _ in range(n)]
+    active, order = list(range(n)), []
+    while active:
+        k = next((i for i in active if a[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in active for j in active if j != i and a[i][j] != 0),
+                None,
+            )
+            if pair is None:  # the remaining block is zero
+                break
+            i, j = pair
+            for c in active:
+                a[i][c] += a[j][c]
+            for r in active:
+                a[r][i] += a[r][j]
+            continue
+        active.remove(k)
+        order.append(k)
+        pivot, d = a[k], a[k][k]
+        for i in active:
+            f = ratios[k][i] = pivot[i] / d
+            for c in active:
+                a[i][c] -= f * pivot[c]
+    return tuple(a[i][i] for i in range(n)), ratios, order
+
+
 def residue_obstruction(gram, value, modulus):
     """True when norm(x) == value has no solution even modulo `modulus`.
 
@@ -173,6 +214,14 @@ def walk(gram, ample, x, box):
         x = tuple(x[i] + pairing(gram, x, d) * d[i] for i in range(len(x)))
         steps += 1
         assert steps <= 10_000, "oracle walk runaway"
+
+
+def reflect_word(gram, word, x):
+    """Replay a reflection word on x, first entry first: x -> x + (x.d) d per root d."""
+    for d in word:
+        c = pairing(gram, x, d)
+        x = tuple(a + c * b for a, b in zip(x, d))
+    return tuple(x)
 
 
 def separating_degree_bound(gram, ample, x):

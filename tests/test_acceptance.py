@@ -31,10 +31,8 @@ from k3cone import (
     serialize_problem,
     sterk_domain,
     SupersingularDatum,
-    vectors_norm_degree,
     verify_fundamental,
     walk_to_nef,
-    word_isometry,
 )
 from k3cone.cli import main as cli_main
 
@@ -49,6 +47,7 @@ from conftest import (
     G_R,
     PROBLEMS,
     SWAP,
+    norm_degree,
     random_even_hyperbolic,
 )
 
@@ -113,7 +112,7 @@ def _enumeration_matches_oracle(lat, ample, box=30):
     table = O.box_by_norm_degree(gram, ample, box, norms, degrees)
     for n in norms:
         for d in degrees:
-            if in_box(vectors_norm_degree(lat, ample, n, d), box) != table[(n, d)]:
+            if in_box(norm_degree(lat, ample, n, d), box) != table[(n, d)]:
                 return False
     if in_box(roots_up_to_degree(lat, ample, 20), box) != O.box_roots(gram, ample, box, 20):
         return False
@@ -176,7 +175,7 @@ def test_criterion_4_walk_contract(capsys):
             done += 1
             end, word = walk_to_nef(lat, ample, x)
             ok = ok and nef_test(lat, ample, end)
-            ok = ok and word_isometry(lat, word).apply(x) == end
+            ok = ok and O.reflect_word(gram, word, x) == end
             y, prev = x, lat.pairing(ample, x)
             for delta in word:
                 y = tuple(y[i] + lat.pairing(y, delta) * delta[i] for i in range(2))

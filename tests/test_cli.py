@@ -288,12 +288,22 @@ def test_orbits_genus_requires_genus_flag(capsys):
 
 
 @pytest.mark.parametrize("kind", [("elliptic",), ("genus", "--genus", "2")])
-def test_orbit_table_at_bound_0_is_an_input_error(capsys, kind):
-    """A bound of 0 doubles to 0, so its empty table is not evidence of stability."""
-    code, rep, err = run(capsys, "orbits", L_U, "--kind", *kind, "--bound", "0")
-    assert code == 1
-    assert rep is None
-    assert (err["error"], err["type"]) == ("input", "UnboundedQuery")
+def test_orbit_table_at_bound_0_is_an_input_error(l_r_bare, capsys, kind):
+    """A bound of 0 doubles to 0, so its empty table is not evidence of
+    stability: rejected before the domain, so also where none exists."""
+    for path in (L_U, l_r_bare):
+        code, rep, err = run(capsys, "orbits", path, "--kind", *kind, "--bound", "0")
+        assert code == 1, path
+        assert rep is None
+        assert (err["error"], err["type"]) == ("input", "UnboundedQuery")
+
+
+@pytest.mark.parametrize("kind", [("nodal",), ("genus", "--genus", "0")])
+def test_wall_tables_ignore_bound_0(capsys, kind):
+    """Nodal tables are read from the chamber walls: no bound, no doubling."""
+    code, rep = run_valid(capsys, "orbits", L_U, "--kind", *kind, "--bound", "0")
+    assert code == 0
+    assert rep["certificates"] == {"saturated": True, "stable": True}
 
 
 def test_orbit_table_at_file_enumeration_bound_0_is_an_input_error(tmp_path, capsys):

@@ -32,12 +32,20 @@ from k3cone import (
     isotropics_up_to_degree,
     rational_isotropic_rays,
     roots_up_to_degree,
-    separating_degree_bound,
     separating_roots,
-    vectors_norm_degree,
 )
 
-from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GRAM_P, GRAM_R, GRAM_U, random_even_hyperbolic
+from conftest import (
+    AMPLE_P,
+    AMPLE_R,
+    AMPLE_U,
+    GRAM_P,
+    GRAM_R,
+    GRAM_U,
+    norm_degree,
+    random_even_hyperbolic,
+    separating_bound,
+)
 
 BOX = 30
 
@@ -97,7 +105,7 @@ def test_grid_matches_box_oracle(gram, ample):
     expected = O.box_by_norm_degree(gram, ample, BOX, norms, degrees)
     for n in norms:
         for d in degrees:
-            assert in_box(vectors_norm_degree(lat, ample, n, d)) == expected[(n, d)], (n, d)
+            assert in_box(norm_degree(lat, ample, n, d)) == expected[(n, d)], (n, d)
 
 
 def test_grid_matches_box_oracle_random_rank3():
@@ -112,7 +120,7 @@ def test_grid_matches_box_oracle_random_rank3():
         expected = O.box_by_norm_degree(lat.gram, ample, 12, [-2, 0, 2], [1, 2, 3, 4])
         for key, want in expected.items():
             n, d = key
-            assert in_box(vectors_norm_degree(lat, ample, n, d), 12) == want, (lat.gram, key)
+            assert in_box(norm_degree(lat, ample, n, d), 12) == want, (lat.gram, key)
 
 
 def test_roots_match_box_oracle():
@@ -136,7 +144,7 @@ def test_isotropics_match_box_oracle():
 def test_enumeration_is_complete_beyond_any_box():
     """The degree-sliced enumeration must find vectors far outside small boxes."""
     latP = Lattice(GRAM_P)
-    hits = vectors_norm_degree(latP, AMPLE_P, 2, 26)
+    hits = norm_degree(latP, AMPLE_P, 2, 26)
     assert (5, 7) in hits  # |coords| > 4, invisible to a box-4 scan
     assert all(latP.norm(v) == 2 and latP.pairing(AMPLE_P, v) == 26 for v in hits)
 
@@ -157,9 +165,9 @@ def test_check_positive_closure_errors():
 
 def test_separating_degree_bound_desk_values():
     latU, latP = Lattice(GRAM_U), Lattice(GRAM_P)
-    assert separating_degree_bound(latU, AMPLE_U, (1, 3)) == 2
-    assert separating_degree_bound(latP, AMPLE_P, (8, 11)) == 14
-    assert separating_degree_bound(latP, AMPLE_P, (1, 1)) == 2
+    assert separating_bound(latU, AMPLE_U, (1, 3)) == 2
+    assert separating_bound(latP, AMPLE_P, (8, 11)) == 14
+    assert separating_bound(latP, AMPLE_P, (1, 1)) == 2
 
 
 def test_separating_roots_desk_values():
@@ -184,7 +192,7 @@ def test_separating_bound_covers_all_separating_roots():
                 check_positive_closure(lat, ample, x)
             except GeometryError:
                 continue
-            b = separating_degree_bound(lat, ample, x)
+            b = separating_bound(lat, ample, x)
             for d in O.box_roots(gram, ample, BOX):
                 if O.pairing(gram, d, x) < 0:
                     assert O.pairing(gram, ample, d) <= b
@@ -211,7 +219,7 @@ def test_separating_degree_bound_equals_fraction_reference(seed, rank):
             points.append(x)
     for x in points:
         want = O.separating_degree_bound(lat.gram, ample, x)
-        assert separating_degree_bound(lat, ample, x) == want, x
+        assert separating_bound(lat, ample, x) == want, x
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -225,6 +233,27 @@ def test_slice_setup_clears_the_rational_inverse(seed, rank):
     inv = O.inverse_over_q(q)
     assert s.delta == math.lcm(*(x.denominator for row in inv for x in row))
     assert s.centre == [s.delta * sum(x * y for x, y in zip(row, lin)) for row in inv]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 5))
+def test_slice_integers_equal_the_fraction_reference(seed, rank):
+    """The search integers read from the fraction-free minors equal the ones
+    cleared from the Fraction reduction, so the Fincke-Pohst tree is pinned.
+
+    ``pu`` is compared above its diagonal, the only entries a search reads.
+    """
+    lat, ample = random_even_hyperbolic(random.Random(seed), rank)
+    s = enumeration._Slice(lat, ample)
+    q = [[-lat.pairing(a, b) for b in s.kernel] for a in s.kernel]
+    diag, ratios, order = O.ldl_over_q(q)
+    m = len(q)
+    assert order == list(range(m)) and all(d > 0 for d in diag)
+    p = math.lcm(*(x.denominator for row in ratios for x in row))
+    lc = math.lcm(*(x.denominator for x in diag))
+    assert (s.p, s.top) == (p, p * p * s.delta * lc)
+    assert s.diag == [lc * d for d in diag]
+    assert all(s.pu[i][j] == p * ratios[i][j] for i in range(m) for j in range(i + 1, m))
 
 
 def test_separating_roots_equal_oracle_filter():
@@ -272,7 +301,7 @@ def test_whole_slices_match_box_oracle(seed, rank):
     expected = O.box_by_norm_degree(lat.gram, ample, box, norms, degrees)
     for n in norms:
         for d in degrees:
-            assert list(vectors_norm_degree(lat, ample, n, d)) == expected[(n, d)], (n, d)
+            assert list(norm_degree(lat, ample, n, d)) == expected[(n, d)], (n, d)
         want = sorted(v for d in degrees for v in expected[(n, d)])
         assert list(classes_up_to_degree(lat, ample, n, top)) == want, n
 
@@ -308,14 +337,15 @@ def test_guards_raise_typed_errors_under_python_O():
     script = textwrap.dedent(
         """
         from k3cone import (DimensionMismatch, Lattice, NonPositiveAmple, ZeroVector,
-                            rational_isotropic_rays, vectors_norm_degree)
+                            enumeration, rational_isotropic_rays)
 
         assert False, "this child must run with assertions stripped"
         u = Lattice(((0, 1), (1, 0)))
         cases = [
-            (ZeroVector, lambda: vectors_norm_degree(u, (0, 0), -2, 1)),
-            (NonPositiveAmple, lambda: vectors_norm_degree(u, (1, -1), -2, 1)),
-            (NonPositiveAmple, lambda: vectors_norm_degree(u, (1, 0), 0, 1)),
+            (ZeroVector, lambda: enumeration._slice_for(u, (0, 0)).query(-2, 1)),
+            (NonPositiveAmple, lambda: enumeration._slice_for(u, (1, -1)).query(-2, 1)),
+            # H = (1, 0) is isotropic: the slice form is the zero block, with no minor
+            (NonPositiveAmple, lambda: enumeration._slice_for(u, (1, 0)).query(0, 1)),
             (DimensionMismatch, lambda: rational_isotropic_rays(
                 Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2))), (1, 0, 0))),
         ]

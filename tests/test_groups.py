@@ -20,7 +20,6 @@ from k3cone import (
     reduce_to_domain,
     verify_generator,
     walk_to_nef,
-    word_isometry,
 )
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
@@ -136,7 +135,8 @@ def test_project_already_nef_is_identity_word(latP):
     end, word = walk_to_nef(latP, AMPLE_P, g.apply(AMPLE_P))
     assert word == ()
     assert end == g.apply(AMPLE_P)
-    assert word_isometry(latP, word).compose(g).matrix == GAMMA_P
+    columns = [O.reflect_word(GRAM_P, word, g.apply(e)) for e in ((1, 0), (0, 1))]
+    assert tuple(zip(*columns)) == GAMMA_P
 
 
 # ---------------------------------------------------------------- supersingular filter

@@ -1,8 +1,9 @@
-"""The two eliminators.
+"""The two fraction-free eliminators.
 
-The symmetric one: inertia against numpy, exact U^T D U on definite forms.
-The fraction-free row one: ``echelon`` and ``scaled_inverse`` against the
-Fraction Gauss-Jordan of the oracles.
+The symmetric one (``ldl``): inertia against numpy, its minors against the
+Fraction reduction of the oracles, and the integer identity that rebuilds a
+definite form from its minors and pivot rows.  The row one: ``echelon`` and
+``scaled_inverse`` against the Fraction Gauss-Jordan of the oracles.
 """
 
 from fractions import Fraction
@@ -42,6 +43,18 @@ def test_signature_matches_eigenvalue_signs(m):
     assert linalg.signature(m) == oracles.inertia_by_eigenvalues(m)
 
 
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(m=symmetric_matrices())
+def test_minors_are_the_products_of_the_fraction_pivots(m):
+    """minors[k] / minors[k-1] is the k-th pivot of the Fraction reduction, in
+    the same order: folds and zero blocks included."""
+    minors, rows = linalg.ldl(m)
+    diag, _, order = oracles.ldl_over_q(m)
+    pivots = [diag[k] for k in order]
+    assert len(rows) == len(minors) == len(pivots)
+    assert [Fraction(b, a) for a, b in zip((1,) + minors, minors)] == pivots
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     b=st.integers(1, 6).flatmap(
@@ -51,17 +64,20 @@ def test_signature_matches_eigenvalue_signs(m):
     sign=st.sampled_from((1, -1)),
 )
 def test_ldl_rebuilds_definite_matrices_exactly(b, sign):
-    """B^T B + I is definite: its pivots come in index order and U^T D U is it."""
+    """B^T B + I is definite: its pivots come in index order, and
+    sym[i][j] = sum_k rows[k][i] rows[k][j] / (m_(k-1) m_k)."""
     n = len(b)
     m = [
         [sign * (sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)) for j in range(n)]
         for i in range(n)
     ]
-    diag, ratios = linalg.ldl(m)
-    assert all(sign * d > 0 for d in diag)
-    u = [[1 if i == j else ratios[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
+    minors, rows = linalg.ldl(m)
+    lower = (1,) + minors[:-1]
+    assert len(minors) == n and all(sign * a * d > 0 for a, d in zip(lower, minors))
+    assert all(row[k] == d and not any(row[:k]) for k, (row, d) in enumerate(zip(rows, minors)))
     rebuilt = [
-        [sum(u[k][i] * diag[k] * u[k][j] for k in range(n)) for j in range(n)]
+        [sum(Fraction(r[i] * r[j], a * d) for r, a, d in zip(rows, lower, minors))
+         for j in range(n)]
         for i in range(n)
     ]
     assert rebuilt == m
@@ -69,7 +85,7 @@ def test_ldl_rebuilds_definite_matrices_exactly(b, sign):
 
 def test_rank_one_lattice_has_an_empty_slice_kernel():
     """A rank-1 lattice's slice form is 0x0: definite, with no pivot at all."""
-    assert linalg.ldl(()) == ((), [])
+    assert linalg.ldl(()) == ((), ())
     assert classes_up_to_degree(Lattice(((2,),)), (1,), 2, 5) == ((1,),)
 
 

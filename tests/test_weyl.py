@@ -22,7 +22,6 @@ from k3cone import (
     roots_up_to_degree,
     walk_to_nef,
     weyl,
-    word_isometry,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     GRAM_U,
     PROBLEMS,
     random_even_hyperbolic,
+    separating_bound,
 )
 
 # rank-3 worked example: U + <-2>, ample chosen off every wall
@@ -73,7 +73,7 @@ def _walk_contract(lat, ample, x):
     """Endpoint nef, strict degree descent, and exact word replay."""
     end, word = walk_to_nef(lat, ample, x)
     assert nef_test(lat, ample, end)
-    assert word_isometry(lat, word).apply(tuple(x)) == end
+    assert O.reflect_word(lat.gram, word, x) == end
     y = tuple(x)
     prev = lat.pairing(ample, y)
     for delta in word:
@@ -445,7 +445,7 @@ def _assert_witnesses_are_facet_ray_sums(lat, ample, nef):
         tight = [r for r in nef.rays if lat.pairing(r, wall) == 0]
         assert w == tuple(map(sum, zip(*tight)))
         assert nef_test(lat, ample, w)
-        bound = enumeration.separating_degree_bound(lat, ample, w)
+        bound = separating_bound(lat, ample, w)
         roots = roots_up_to_degree(lat, ample, bound)
         assert [d for d in roots if lat.pairing(d, w) == 0] == [wall]
 
@@ -504,7 +504,7 @@ def test_partial_witnesses_are_nef_with_separating_bound_their_degree(seed, diag
     for wall, w in nef.witnesses:
         degree = lat.pairing(ample, wall)
         assert w == tuple(2 * h + degree * d for h, d in zip(ample, wall))
-        assert enumeration.separating_degree_bound(lat, ample, w) == degree
+        assert separating_bound(lat, ample, w) == degree
         assert nef_test(lat, ample, w)
 
 
@@ -540,13 +540,11 @@ def test_nef_test_values():
     assert not nef_test(latP, AMPLE_P, (8, 11))
 
 
-def test_word_isometry_order():
-    """Reflections compose in application order (first word entry acts first)."""
+def test_walk_words_apply_in_word_order():
+    """A walk's word replays first entry first; reversed, it misses the end."""
     lat = Lattice(GRAM_3)
-    a, b = (0, 0, -1), (1, 0, 1)
-    iso = word_isometry(lat, [a, b])
-    x = (5, 4, 3)
-    step = tuple(x[i] + lat.pairing(x, a) * a[i] for i in range(3))
-    want = tuple(step[i] + lat.pairing(step, b) * b[i] for i in range(3))
-    assert iso.apply(x) == want
-    assert word_isometry(lat, []).is_identity()
+    x = (1, 1, -1)
+    end, word = walk_to_nef(lat, AMPLE_3, x)
+    assert (end, word) == ((1, 0, 0), ((0, 0, -1), (1, 0, 1), (-1, 1, 0)))
+    assert O.reflect_word(GRAM_3, word, x) == end
+    assert O.reflect_word(GRAM_3, word[::-1], x) != end
