@@ -6,8 +6,8 @@ emitted), 3 internal error.  The handlers return plain values, and
 ``build_report`` writes every integer as a decimal string.  The env var
 K3CONE_CEILING overrides the doubling ceiling for this invocation, taking
 precedence over the problem file's ``bounds.ceiling``.  It is resolved
-while the problem file is parsed, so it also governs generator
-verification, and every command rejects a malformed value with exit 1.
+while the problem file is parsed, so every command rejects a malformed
+value with exit 1; only walls, sterk, reduce and orbits use the ceiling.
 Integer options and ``--class`` coordinates follow the problem file's
 rule, ``-?[0-9]+``.
 """
@@ -132,14 +132,17 @@ def _cmd_nef_test(problem: Problem, args):
     return results, {}, []
 
 
-def _dot_graph(problem: Problem, domain: SterkDomain) -> str:
+def _dot_graph(problem: Problem, domain: SterkDomain | None) -> str:
     """Adjacency of the domain and its translates by words up to DOT_WORD_LENGTH."""
+    lines = ["graph chamber_adjacency {", '  node [shape=box];']
+    if domain is None:  # no nodes
+        return "\n".join(lines + ["}"]) + "\n"
     lat = problem.lattice
     cones = [("e", domain.cone)]
     for g, word in group_words(problem.group, DOT_WORD_LENGTH):
         label = "*".join(f"g{i}" for i in word)
         cones.append((label, transform_cone(lat, domain.cone, g)))
-    lines = ["graph chamber_adjacency {", '  node [shape=box];', '  "e" [style=bold];']
+    lines.append('  "e" [style=bold];')
     for label, _ in cones[1:]:
         lines.append(f'  "{label}";')
     for i in range(len(cones)):
@@ -153,6 +156,8 @@ def _dot_graph(problem: Problem, domain: SterkDomain) -> str:
 
 def _cmd_sterk(problem: Problem, args):
     domain, warnings = _domain(problem)
+    if args.dot:
+        Path(args.dot).write_text(_dot_graph(problem, domain))
     if domain is None:
         return {"domain": None, "fundamental": None}, {"saturated": False}, warnings
     bounds = problem.bounds
@@ -172,8 +177,6 @@ def _cmd_sterk(problem: Problem, args):
         "coverage": cert.coverage_ok,
         "tiling": cert.tiling_ok,
     }
-    if args.dot:
-        Path(args.dot).write_text(_dot_graph(problem, domain))
     return results, certificates, warnings
 
 

@@ -10,10 +10,10 @@ builds an ``Isometry``; downstream code applies the matrices unchecked.
 ``word_search`` is the one breadth-first search over generator words: the
 ample orbit, the tiling translates and the orbit-merge balls all use it.
 
-Generator verification does not discover walls itself: the caller passes the
-chamber's ``NefDescription`` (a problem file passes the one it computes at its
-resolved doubling ceiling), and the wall-preservation cross-check runs only
-when that wall list is certified complete.
+Generator verification needs no wall list: ``nef_test`` decides exactly
+whether a generator keeps the ample chamber, and a problem file passes no
+``NefDescription``.  With a certified complete one, the wall-preservation
+cross-check also runs; it cannot reject what the chamber test accepts.
 
 The supersingular side is deliberately small: a datum ``(p, K)`` is a linear
 subspace of F_p^rank spanned by reduced basis vectors, and the filter keeps
@@ -78,7 +78,6 @@ class GroupGenerators(Record):
     """Verified generators, closed under inversion, in a deterministic order."""
 
     lattice: Lattice
-    ample: Vec
     gens: tuple[Mat, ...]
     inverses: tuple[int, ...]  # gens[inverses[i]] is the inverse of gens[i]
 
@@ -114,7 +113,6 @@ def build_group(
     index = {m: i for i, m in enumerate(order)}
     return GroupGenerators(
         lattice=lat,
-        ample=ample,
         gens=tuple(order),
         inverses=tuple(index[inverse[m]] for m in order),
     )

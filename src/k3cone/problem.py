@@ -9,10 +9,9 @@ are re-raised with a ``where`` attribute attached.
 
 The bounds are resolved once, at parse time: the K3CONE_CEILING environment
 variable (for the ceiling), then the file's ``bounds``, then the defaults of
-the ``Bounds`` table.  A ``Problem`` computes its chamber at the resolved
-ceiling at most once, on first use; generator verification is such a use, so
-a file with generators pays for its walls while parsing and every later
-consumer reuses them.
+the ``Bounds`` table.  Parsing verifies the generators by the exact chamber
+test alone, which needs no wall list, so a ``Problem`` computes its chamber
+at the resolved ceiling only on first use, at most once.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ class Problem(Record):
     lattice: Lattice
     ample: Vec
     generator_matrices: tuple[Mat, ...]
+    group: GroupGenerators  # the verified generators
     supersingular: SupersingularDatum | None
     bounds: Bounds  # resolved: the file's values over the defaults
     digest: str
@@ -43,12 +43,6 @@ class Problem(Record):
     def nef(self) -> NefDescription:
         """The chamber at the resolved ceiling, computed on first use."""
         return nef_walls(self.lattice, self.ample, ceiling=self.bounds.ceiling)
-
-    @cached_property
-    def group(self) -> GroupGenerators:
-        """The verified generators; ``parse_problem`` builds this eagerly."""
-        nef = self.nef if self.generator_matrices else None
-        return build_group(self.lattice, self.ample, self.generator_matrices, nef)
 
 
 def validate_problem(gram, ample) -> tuple[Lattice, Vec]:
@@ -195,21 +189,22 @@ def parse_problem(text: str) -> Problem:
             raise ProblemFormatError("K3CONE_CEILING", "must be non-negative")
         bounds = replace(bounds, ceiling=ceiling)
 
+    try:
+        group = build_group(lattice, ample, matrices)
+    except GeometryError as e:
+        index = getattr(e, "index", None)
+        raise _located(e, f"generators[{index}]" if index is not None else "generators") from None
+
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-    problem = Problem(
+    return Problem(
         lattice=lattice,
         ample=ample,
         generator_matrices=tuple(matrices),
+        group=group,
         supersingular=supersingular,
         bounds=bounds,
         digest=digest,
     )
-    try:
-        problem.group  # verify the generators now, so errors are located here
-    except GeometryError as e:
-        index = getattr(e, "index", None)
-        raise _located(e, f"generators[{index}]" if index is not None else "generators") from None
-    return problem
 
 
 def serialize_problem(problem: Problem) -> dict:

@@ -291,6 +291,37 @@ def chamber_2d(gram, ample, box):
     return roots, walls, tuple(sorted((lo, hi)))
 
 
+def isometries_in_box(gram, box):
+    """Every integer matrix with entries in [-box, box] that preserves the form.
+
+    Column j is the image of e_j, so it has norm gram[j][j] and pairs with
+    column i in gram[i][j]; the columns are chosen one at a time from the box.
+    """
+    n = len(gram)
+    points = [tuple(int(c) for c in p) for p in box_vectors(n, box)]
+    candidates = [[p for p in points if norm(gram, p) == gram[j][j]] for j in range(n)]
+    found = []
+
+    def extend(columns):
+        j = len(columns)
+        if j == n:
+            found.append(tuple(tuple(col[i] for col in columns) for i in range(n)))
+            return
+        for p in candidates[j]:
+            if all(pairing(gram, columns[i], p) == gram[i][j] for i in range(j)):
+                extend(columns + [p])
+
+    extend([])
+    return found
+
+
+def matrix_product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
 def orbit_ball(gens, x, depth):
     """All images of x under generator words of length <= depth."""
     seen = {tuple(x)}

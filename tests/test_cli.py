@@ -25,6 +25,9 @@ L_U = str(PROBLEMS / "l_u.json")
 L_P = str(PROBLEMS / "l_p.json")
 L_R = str(PROBLEMS / "l_r.json")
 RANK5 = str(PROBLEMS / "rank5_supersingular.json")
+# diag(2, -4, -6) at (3, 1, 1), whose chamber does not certify at the default
+# ceiling, with the trace-5 chamber isometry as its generator
+L_N = str(Path(__file__).resolve().parent / "fixtures" / "l_n.json")
 
 
 def run(capsys, *argv):
@@ -218,6 +221,27 @@ def test_sterk_without_a_domain_exits_2(l_r_bare, capsys):
     assert rep["results"] == {"domain": None, "fundamental": None}
     assert rep["certificates"] == {"saturated": False}
     assert rep["warnings"] == [CEILING_WARNING]
+
+
+def test_dot_without_a_domain_is_a_graph_with_no_nodes(tmp_path, capsys, l_r_bare):
+    dot = tmp_path / "adj.dot"
+    run_valid(capsys, "sterk", L_R, "--dot", str(dot))
+    assert '"e"' in dot.read_text()
+    code, rep = run_valid(capsys, "sterk", l_r_bare, "--dot", str(dot))
+    assert code == 2
+    assert rep["results"]["domain"] is None
+    # written, over the earlier graph
+    assert dot.read_text() == "graph chamber_adjacency {\n  node [shape=box];\n}\n"
+
+
+def test_dot_without_a_domain_to_an_unwritable_path_is_an_input_error(
+    tmp_path, capsys, l_r_bare
+):
+    target = tmp_path / "no_such_dir" / "adj.dot"
+    code, rep, err = run(capsys, "sterk", l_r_bare, "--dot", str(target))
+    assert code == 1
+    assert rep is None
+    assert err["type"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("kind", [("--kind", "nodal"), ("--kind", "genus", "--genus", "2")])
@@ -611,6 +635,15 @@ def test_walls_on_u_e8_is_the_e10_diagram():
             assert _arms([[lat.pairing(a, b) for b in walls] for a in walls]) == arms
 
 
+def _rebind_nef_walls(monkeypatch, replacement):
+    """Rebind ``nef_walls`` in every package module that imported it."""
+    original = weyl.nef_walls
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k3cone") and getattr(module, "nef_walls", None) is original:
+            monkeypatch.setattr(module, "nef_walls", replacement)
+    return original
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("walls", L_P), 1),
     (("sterk", L_R), 1),
@@ -625,20 +658,44 @@ def test_walls_on_u_e8_is_the_e10_diagram():
     (("filter-k", RANK5), 0),
 ])
 def test_walls_are_computed_at_most_once(monkeypatch, capsys, argv, expected):
-    original = weyl.nef_walls
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    # rebind the name in every module that imported it
-    for name, module in list(sys.modules.items()):
-        if name.startswith("k3cone") and getattr(module, "nef_walls", None) is original:
-            monkeypatch.setattr(module, "nef_walls", counting)
+    original = _rebind_nef_walls(monkeypatch, counting)
     code, _ = run_valid(capsys, *argv)
     assert code == 0
     assert len(calls) == expected
+
+
+def test_parsing_and_chamber_free_commands_compute_no_walls(monkeypatch, capsys, tmp_path):
+    """Generators are verified by the chamber test alone, so only walls, sterk,
+    reduce and orbits compute the chamber; on L_N it would not finish."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nef_walls was called")
+
+    _rebind_nef_walls(monkeypatch, forbidden)
+    for path in (L_P, L_R, L_N):
+        assert k3cone.parse_problem(Path(path).read_text()).group.gens
+    data = json.loads(Path(L_R).read_text())
+    data["supersingular"] = {"p": 3, "k_basis": [[1, 0]]}
+    l_r_k = tmp_path / "l_r_k.json"
+    l_r_k.write_text(json.dumps(data))
+    for argv, expected in [
+        (("validate", L_N), 0),
+        (("roots", L_N), 0),
+        (("walk", L_N, "--class=2,1,0"), 0),
+        (("nef-test", L_N, "--class=2,1,0"), 0),
+        (("isotropic", L_N), 2),  # no isotropic vector in the default box
+        (("validate", L_P), 0),
+        (("walk", L_R, "--class=-1,8"), 0),
+        (("filter-k", str(l_r_k)), 0),
+    ]:
+        code, _ = run_valid(capsys, *argv)
+        assert code == expected, argv
 
 
 def test_all_commands_emit_schema_valid_reports(capsys):

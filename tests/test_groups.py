@@ -18,6 +18,7 @@ from k3cone import (
     nef_walls,
     preserves_K,
     reduce_to_domain,
+    reflection_matrix,
     verify_generator,
     walk_to_nef,
 )
@@ -72,6 +73,59 @@ def test_verify_generator_flags_non_isometry(latP):
     rep = verify_generator(latP, AMPLE_P, ((1, 1), (0, 1)))
     assert not rep.preserves_form
     assert not rep.ok
+
+
+# rank-2 setups: L_U; L_P in two chambers; L_R and diag(2, -6), whose
+# chambers never certify, so the wall cross-check stays vacuous there
+SETUPS_RANK2 = [
+    (GRAM_U, AMPLE_U),
+    (GRAM_P, AMPLE_P),
+    (GRAM_P, (2, -1)),
+    (GRAM_R, AMPLE_R),
+    (((2, 0), (0, -6)), (4, 1)),
+    (((2, 0), (0, -6)), (1, 0)),
+]
+
+
+def _verdicts_agree(lat, ample, matrices, nef):
+    """Count (accepted, rejected, cross-checked) after asserting that the
+    chamber test alone decides every matrix as it does with the wall list."""
+    tally = [0, 0, 0]
+    for m in matrices:
+        with_walls = verify_generator(lat, ample, m, nef)
+        assert with_walls.ok == verify_generator(lat, ample, m).ok, m
+        tally[0 if with_walls.ok else 1] += 1
+        tally[2] += with_walls.walls_preserved is not None
+    return tally
+
+
+@pytest.mark.parametrize("gram, ample", SETUPS_RANK2)
+def test_chamber_test_alone_decides_every_isometry_in_a_box(gram, ample):
+    """An isometry that keeps the chamber permutes its walls, so the wall
+    cross-check never rejects what the chamber test accepts."""
+    lat = Lattice(gram)
+    isometries = O.isometries_in_box(gram, 12)
+    accepted, rejected, checked = _verdicts_agree(lat, ample, isometries, nef_walls(lat, ample))
+    assert accepted >= 1 and rejected >= 1  # the identity; its negative
+    assert (checked > 0) == (gram in (GRAM_U, GRAM_P))
+
+
+def test_chamber_test_alone_decides_words_in_walls_and_swap():
+    """U + A1^2 at (4, 3, 1, 1): a complete chamber above rank 2, and words in
+    the A1 swap (which keeps the chamber) and the wall reflections (which do not)."""
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2))
+    ample = (4, 3, 1, 1)
+    lat = Lattice(gram)
+    nef = nef_walls(lat, ample)
+    assert nef.complete
+    swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    letters = [swap] + [reflection_matrix(lat, w) for w in nef.walls]
+    words = set(letters)
+    for _ in range(2):
+        words |= {O.matrix_product(w, m) for w in words for m in letters}
+    accepted, rejected, checked = _verdicts_agree(lat, ample, sorted(words), nef)
+    assert accepted >= 2 and rejected >= 1  # swap and swap^2
+    assert checked == len(words)
 
 
 def test_build_group_rejects_with_located_report(latP):
