@@ -24,15 +24,7 @@ from .cones import intersection, transform_cone
 from .enumeration import roots_up_to_degree, separating_roots
 from .errors import BrokenInvariant, GeometryError
 from .groups import filter_preserving_K
-from .orbits import (
-    ISOTROPY_ADVICE,
-    OrbitTable,
-    check_table_bound,
-    elliptic_orbits,
-    find_isotropic,
-    genus_orbits,
-    nodal_orbits,
-)
+from .orbits import ISOTROPY_ADVICE, check_table, find_isotropic, genus_orbits
 from .problem import Problem, _int_from, _vector_from, parse_problem
 from .sterk import (
     SterkDomain,
@@ -204,30 +196,18 @@ def _cmd_reduce(problem: Problem, args):
 
 def _cmd_orbits(problem: Problem, args):
     bound = _enum_bound(problem, args.bound)
-    if args.kind == "genus":
-        if args.genus is None:
-            raise GeometryError("--kind genus requires --genus")
-        if args.genus < 0:
-            raise GeometryError("genus must be non-negative")
-    if args.kind == "elliptic" or (args.kind == "genus" and args.genus >= 1):
-        check_table_bound(bound)  # before the domain, which may not exist
-    lat, ample, group, nef = problem.lattice, problem.ample, problem.group, problem.nef
+    if args.kind == "genus" and args.genus is None:
+        raise GeometryError("--kind genus requires --genus")
+    genus = {"nodal": 0, "elliptic": 1}.get(args.kind, args.genus)
+    check_table(genus, bound)  # before the domain, which may not exist
     domain, warnings = _domain(problem)
-    if domain is None or not domain.saturated:
-        # an unsaturated domain is not a fundamental domain: no table is read from it
-        genus = args.genus if args.kind == "genus" else None
-        table = OrbitTable(args.kind, genus, (), None, False)
-        return rpt.table_payload(table), {"saturated": False, "stable": False}, warnings
-    if args.kind == "nodal":
-        table = nodal_orbits(lat, ample, group, nef, domain)
-    elif args.kind == "elliptic":
-        table = elliptic_orbits(lat, ample, group, domain, bound)
-    else:
-        table = genus_orbits(lat, ample, group, nef, domain, args.genus, bound)
-    certificates = {"saturated": domain.saturated, "stable": table.stable}
-    if not table.stable:
+    table = genus_orbits(
+        problem.lattice, problem.ample, problem.group, problem.nef, domain, genus, bound
+    )
+    saturated = domain is not None and domain.saturated
+    if saturated and not table.stable:
         warnings.append("orbit table changed under one bound doubling")
-    return rpt.table_payload(table), certificates, warnings
+    return rpt.table_payload(table), {"saturated": saturated, "stable": table.stable}, warnings
 
 
 def _cmd_isotropic(problem: Problem, args):
@@ -341,7 +321,7 @@ def main(argv=None) -> int:
     except (GeometryError, OSError) as e:  # OSError: an unwritable --dot path
         _emit_error("input", e)
         return 1
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # any other failure is a defect of the package
         _emit_error("internal", e)
         return 3
     text = json.dumps(report, indent=2)

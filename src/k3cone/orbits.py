@@ -1,9 +1,10 @@
 """Orbit classification of curve classes under the chamber-preserving group.
 
-Three kinds of classes are classified up to the group action: the chamber
-walls themselves (norm -2, "nodal"), primitive isotropic chamber classes
-("elliptic"), and classes of norm 2g-2 for a genus g >= 2.  Norm 0 and -2
-queries delegate to the dedicated kinds.
+The classes of arithmetic genus g, of norm 2g-2, are classified up to the
+group action, one table per genus: the chamber walls themselves at genus 0
+("nodal"), primitive isotropic chamber classes at genus 1 ("elliptic"), and
+the classes of norm 2g-2 at g >= 2 ("genus").  ``genus_orbits`` decides the
+kind, checks the query and refuses a domain that is not fundamental.
 
 Canonicalization is reduce-into-the-domain: walk into the chamber, then
 descend into the Sterk domain by the generators and the inverses of its
@@ -88,24 +89,14 @@ def _merge_classes(lat: Lattice, ample, group, reduced: dict[Vec, list]) -> list
     return entries
 
 
-def nodal_orbits(
-    lat: Lattice,
-    ample,
-    group: GroupGenerators,
-    nef: NefDescription,
-    domain: SterkDomain,
-) -> OrbitTable:
-    """Orbits of chamber walls.
+def _wall_orbits(lat, ample, group, nef, domain) -> tuple:
+    """The wall orbits, the certification bound and whether the walls are final.
 
     Each wall is carried to a canonical position by reducing its facet
     witness point into the domain and applying the same word to the wall
     vector; walls meeting in one orbit then coincide or are merged by the
     word ball.  An empty wall list gives the (valid) empty table.
     """
-    ample = as_vector(ample, lat.rank, "ample class")
-    stable = nef.complete or nef.looks_round
-    if not nef.walls:
-        return OrbitTable("nodal", None, (), nef.certification_bound, stable)
     witnesses = dict(nef.witnesses)
     mats = group.matrices()
     reduce = _reducer(lat, ample, group, domain)
@@ -122,33 +113,22 @@ def nodal_orbits(
         for idx in word:
             canonical = linalg.mat_vec(mats[idx], canonical)
         reduced.setdefault(canonical, []).append((wall, reflections, word))
-    entries = _merge_classes(lat, ample, group, reduced)
-    return OrbitTable(
-        "nodal", None, tuple(entries), nef.certification_bound, stable
-    )
+    entries = tuple(_merge_classes(lat, ample, group, reduced))
+    return entries, nef.certification_bound, nef.complete or nef.looks_round
 
 
-def check_table_bound(bound: int | None) -> None:
-    """Raise UnboundedQuery for a table bound below 1; None means the default."""
-    if bound is not None and bound < 1:
-        raise UnboundedQuery(f"the degree bound {bound} is below 1, which doubling never grows")
+def _class_orbits(lat, ample, group, domain, genus, bound) -> tuple:
+    """The orbits up to the degree bound, the bound, and whether doubling it
+    adds no orbit.
 
-
-def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
-    """The table up to the degree bound, stable when doubling it adds no orbit.
-
-    The norm 2g-2 classes (primitive isotropic ones when genus is None) are
-    reduced once, up to twice the bound.  The bound's table merges the
-    sources of degree <= bound, in lex order; the doubled table only supplies
-    the representative set that decides stability.  A bound below 1 raises
-    UnboundedQuery: doubling it does not grow it, so its empty table would
-    be compared with itself.
+    The norm 2g-2 classes (primitive isotropic ones at genus 1) are reduced
+    once, up to twice the bound.  The bound's table merges the sources of
+    degree <= bound, in lex order; the doubled table only supplies the
+    representative set that decides stability.
     """
-    ample = as_vector(ample, lat.rank, "ample class")
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
-    check_table_bound(bound)
-    if genus is None:
+    if genus == 1:
         classes = isotropics_up_to_degree(lat, ample, 2 * bound)
     else:
         classes = classes_up_to_degree(lat, ample, 2 * genus - 2, 2 * bound)
@@ -163,41 +143,71 @@ def _stable_table(lat, ample, group, domain, kind, genus, bound) -> OrbitTable:
     stable = {e.representative for e in entries} == {
         e.representative for e in _merge_classes(lat, ample, group, doubled)
     }
-    return OrbitTable(kind, genus, entries, bound, stable)
+    return entries, bound, stable
+
+
+def check_table(genus: int, bound: int | None) -> None:
+    """Raise GeometryError for a negative genus, and UnboundedQuery for a bound
+    below 1 at genus >= 1, since doubling it would compare its empty table
+    with itself; None means the default bound, and genus 0 reads no bound."""
+    if genus < 0:
+        raise GeometryError("genus must be non-negative")
+    if genus >= 1 and bound is not None and bound < 1:
+        raise UnboundedQuery(f"the degree bound {bound} is below 1, which doubling never grows")
+
+
+def nodal_orbits(
+    lat: Lattice,
+    ample,
+    group: GroupGenerators,
+    nef: NefDescription,
+    domain: SterkDomain | None,
+) -> OrbitTable:
+    """Orbits of chamber walls: the genus 0 table of ``genus_orbits``."""
+    return genus_orbits(lat, ample, group, nef, domain, 0)
 
 
 def elliptic_orbits(
     lat: Lattice,
     ample,
     group: GroupGenerators,
-    domain: SterkDomain,
+    domain: SterkDomain | None,
     bound: int | None = None,
 ) -> OrbitTable:
-    """Orbits of primitive isotropic chamber classes up to the degree bound."""
-    return _stable_table(lat, ample, group, domain, "elliptic", None, bound)
+    """Orbits of primitive isotropic chamber classes up to the degree bound:
+    the genus 1 table of ``genus_orbits``, which reads no wall data."""
+    return genus_orbits(lat, ample, group, None, domain, 1, bound)
 
 
 def genus_orbits(
     lat: Lattice,
     ample,
     group: GroupGenerators,
-    nef: NefDescription,
-    domain: SterkDomain,
+    nef: NefDescription | None,
+    domain: SterkDomain | None,
     genus: int,
     bound: int | None = None,
 ) -> OrbitTable:
-    """Orbits of chamber classes of norm 2g-2; a lattice-level upper
-    classification (no irreducibility is decided here).
+    """Orbits of chamber classes of norm 2g-2, the one entry to every table.
 
-    Genus 0 and 1 delegate to the wall and isotropic classifications.
+    Genus 0 is the ``"nodal"`` table of the walls in ``nef``, which takes no
+    bound; genus 1 the ``"elliptic"`` table of primitive isotropic classes;
+    genus g >= 2 the ``"genus"`` table, a lattice-level upper classification
+    (no irreducibility is decided here), the only kind that reports its
+    genus.  ``check_table`` raises first.  A domain that is None or
+    unsaturated is not a fundamental domain, so no table is read from it:
+    the table is empty, has no search bound and is not stable.
     """
-    if genus < 0:
-        raise GeometryError("genus must be non-negative")
-    if genus == 0:
-        return nodal_orbits(lat, ample, group, nef, domain)
-    if genus == 1:
-        return elliptic_orbits(lat, ample, group, domain, bound)
-    return _stable_table(lat, ample, group, domain, "genus", genus, bound)
+    ample = as_vector(ample, lat.rank, "ample class")
+    check_table(genus, bound)
+    if domain is None or not domain.saturated:
+        found = (), None, False
+    elif genus == 0:
+        found = _wall_orbits(lat, ample, group, nef, domain)
+    else:
+        found = _class_orbits(lat, ample, group, domain, genus, bound)
+    kind = "nodal" if genus == 0 else "elliptic" if genus == 1 else "genus"
+    return OrbitTable(kind, genus if genus >= 2 else None, *found)
 
 
 ISOTROPY_ADVICE = (

@@ -170,14 +170,10 @@ def parse_problem(text: str) -> Problem:
         block = data["bounds"]
         if not isinstance(block, dict):
             raise ProblemFormatError("bounds", "expected an object")
-        known = {"ceiling", "enumeration", "samples", "word_length", "seed"}
-        if set(block) - known:
-            raise ProblemFormatError(
-                f"bounds.{sorted(set(block) - known)[0]}", "unknown field"
-            )
-        values = {
-            k: _int_from(block[k], f"bounds.{k}") for k in known if k in block
-        }
+        unknown = sorted(set(block) - set(Bounds._fields))
+        if unknown:
+            raise ProblemFormatError(f"bounds.{unknown[0]}", "unknown field")
+        values = {k: _int_from(block[k], f"bounds.{k}") for k in Bounds._fields if k in block}
         for k, v in values.items():
             if k != "seed" and v < 0:
                 raise ProblemFormatError(f"bounds.{k}", "must be non-negative")

@@ -326,7 +326,10 @@ def verify_fundamental(
             if _cut_separates(lat, ample, g, cone.rays, images):
                 continue
         translate = transform_cone(lat, cone, g)
-        if translate.rays == cone.rays and translate.lineality == cone.lineality:
+        # the facets decide a full-dimensional cone; its rays are canonical
+        # only when it is pointed
+        same = translate.normals == cone.normals if cone.full_dim else translate.rays == cone.rays
+        if same and translate.lineality == cone.lineality:
             stabilizers.append(word)
         elif not interiors_disjoint(lat, cone, translate):
             overlaps.append(word)

@@ -286,6 +286,11 @@ def test_orbits_on_a_partial_domain_report_the_empty_table(partial_domain, capsy
     assert {k: rep["results"][k] for k in EMPTY_TABLE} == EMPTY_TABLE
     assert rep["certificates"] == {"saturated": False, "stable": False}
     assert rep["warnings"] == [CEILING_WARNING]
+    # genus keys the table, so genus 0 and 1 are the nodal and elliptic tables
+    for genus, kind in (("0", "nodal"), ("1", "elliptic")):
+        code, rep = run_valid(capsys, "orbits", L_P, "--kind", "genus", "--genus", genus)
+        assert code == 2
+        assert (rep["results"]["kind"], rep["results"]["genus"]) == (kind, None)
 
 
 def test_orbits_nodal(capsys):
@@ -309,6 +314,41 @@ def test_orbits_genus_requires_genus_flag(capsys):
     code, rep, err = run(capsys, "orbits", L_P, "--kind", "genus")
     assert code == 1
     assert err is not None
+
+
+# U+E8(-1)^2 is left out: its Sterk domain takes minutes to search
+@pytest.mark.parametrize("path, bound", [
+    (L_U, ()), (L_P, ()), (L_R, ()), (RANK5, ("--bound", "12")),
+    (str(PROBLEMS / "u_e8.json"), ("--bound", "1")), (None, ()),
+], ids=["l_u", "l_p", "l_r", "rank5", "u_e8", "l_r_bare"])
+def test_genus_0_and_1_are_the_nodal_and_elliptic_tables(request, capsys, path, bound):
+    """Genus keys the table, so ``--kind genus`` at genus 0 and 1 prints the
+    nodal and elliptic reports byte for byte, with or without a domain."""
+    path = path or request.getfixturevalue("l_r_bare")
+    for genus, kind in (("0", "nodal"), ("1", "elliptic")):
+        printed = []
+        for flags in (("--kind", kind), ("--kind", "genus", "--genus", genus)):
+            code = main(["orbits", path, *flags, *bound])
+            printed.append((code, *capsys.readouterr()))
+        assert printed[0][0] in (0, 2)
+        assert printed[0] == printed[1]
+
+
+def test_nodal_table_at_a_negative_bound_is_an_input_error(capsys):
+    """A nodal table reads no bound, so only the flag's own check catches it."""
+    code, rep, err = run(capsys, "orbits", L_P, "--kind", "nodal", "--bound", "-1")
+    assert code == 1
+    assert rep is None
+    assert err["message"] == "--bound must be non-negative"
+
+
+def test_unstable_orbit_table_exits_2(capsys):
+    """At bound 3 L_P's genus-2 table is empty: its one orbit, that of
+    (1, 1) at degree 6, first shows at the doubled bound."""
+    code, rep = run_valid(capsys, "orbits", L_P, "--kind", "genus", "--genus", "2", "--bound", "3")
+    assert code == 2
+    assert rep["certificates"] == {"saturated": True, "stable": False}
+    assert rep["warnings"] == ["orbit table changed under one bound doubling"]
 
 
 @pytest.mark.parametrize("kind", [("elliptic",), ("genus", "--genus", "2")])
@@ -371,6 +411,19 @@ def test_isotropic_rank5(capsys):
     assert rep["results"]["found"] == ["1", "0", "0", "0", "0"]
 
 
+def test_isotropic_not_found_at_rank_5_advises_a_larger_box(tmp_path, capsys):
+    prob = tmp_path / "diag.json"
+    gram = [[2 if i == j == 0 else -4 if i == j else 0 for j in range(5)] for i in range(5)]
+    prob.write_text(json.dumps({"rank": 5, "gram": gram, "ample": [1, 0, 0, 0, 0]}))
+    code, rep = run_valid(capsys, "isotropic", str(prob), "--bound", "1")
+    assert code == 2
+    assert rep["results"]["found"] is None
+    assert rep["warnings"] == [
+        "no isotropic vector with coordinates up to 1; not a proof of absence",
+        k3cone.orbits.ISOTROPY_ADVICE,
+    ]
+
+
 def test_filter_k(capsys):
     code, rep = run_valid(capsys, "filter-k", L_R)
     assert code == 0
@@ -422,6 +475,19 @@ def test_geometry_error_exits_1(tmp_path, capsys):
     code, rep, err = run(capsys, "validate", str(onwall))
     assert code == 1
     assert err["type"] == "AmpleOnWall"
+
+
+@pytest.mark.parametrize("error", [k3cone.BrokenInvariant("walk"), RuntimeError("walk")],
+                         ids=["BrokenInvariant", "RuntimeError"])
+def test_internal_errors_exit_3(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(k3cone.cli, "walk_to_nef", broken)
+    code, rep, err = run(capsys, "walk", L_P, "--class=1,1")
+    assert code == 3
+    assert rep is None
+    assert (err["error"], err["type"]) == ("internal", type(error).__name__)
 
 
 def test_bad_class_argument_exits_1(capsys):

@@ -12,6 +12,7 @@ from k3cone import (
     find_isotropic,
     genus_orbits,
     nodal_orbits,
+    sterk_domain,
 )
 from k3cone.orbits import ISOTROPY_ADVICE
 
@@ -137,18 +138,42 @@ def test_genus_members_have_the_right_norm(setups):
 
 def test_genus_delegates_to_special_tables(setups):
     lat, ample, grp, nef, dom = setups["P"]
-    assert genus_orbits(lat, ample, grp, nef, dom, 0).entries == nodal_orbits(
-        lat, ample, grp, nef, dom
-    ).entries
-    assert genus_orbits(lat, ample, grp, nef, dom, 1).entries == elliptic_orbits(
-        lat, ample, grp, dom
-    ).entries
+    assert genus_orbits(lat, ample, grp, nef, dom, 0) == nodal_orbits(lat, ample, grp, nef, dom)
+    assert genus_orbits(lat, ample, grp, nef, dom, 1) == elliptic_orbits(lat, ample, grp, dom)
 
 
 def test_negative_genus_rejected(setups):
     lat, ample, grp, nef, dom = setups["P"]
     with pytest.raises(GeometryError):
         genus_orbits(lat, ample, grp, nef, dom, -1)
+
+
+def test_no_table_is_read_from_a_domain_that_is_not_fundamental(setups):
+    """No domain, or L_P's partial domain (the bare chamber, rays (1, 0) and
+    (3, 4)), gives every kind its empty table, not stable and with no search
+    bound; a bad genus or bound still raises first."""
+    lat, ample, grp, nef, _ = setups["P"]
+    partial = sterk_domain(lat, ample, grp, nef, bound=1, ceiling=0)
+    assert partial.rays == ((1, 0), (3, 4)) and not partial.saturated
+    for dom in (None, partial):
+        tables = [
+            nodal_orbits(lat, ample, grp, nef, dom),
+            elliptic_orbits(lat, ample, grp, dom),
+            *(genus_orbits(lat, ample, grp, nef, dom, genus) for genus in (0, 1, 2, 3)),
+        ]
+        assert [(t.kind, t.genus) for t in tables] == [
+            ("nodal", None), ("elliptic", None), ("nodal", None), ("elliptic", None),
+            ("genus", 2), ("genus", 3),
+        ]
+        for t in tables:
+            assert (t.entries, t.search_bound, t.stable) == ((), None, False)
+        with pytest.raises(GeometryError, match="genus must be non-negative"):
+            genus_orbits(lat, ample, grp, nef, dom, -1)
+        for bound in (0, -3):
+            with pytest.raises(UnboundedQuery):
+                elliptic_orbits(lat, ample, grp, dom, bound)
+            with pytest.raises(UnboundedQuery):
+                genus_orbits(lat, ample, grp, nef, dom, 2, bound)
 
 
 def test_entry_words_replay_to_representative(setups):

@@ -355,6 +355,38 @@ def test_domain_that_is_not_full_dimensional_raises(setups, normals, rays):
         verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=0, word_length=2)
 
 
+def test_a_domain_with_lineality_is_matched_by_its_facets(setups):
+    """The half-plane x . H >= 0 on L_R has the lineality (1, -1), so its
+    ray representative is not canonical: the swap maps it onto itself with
+    the representative (0, 1) in place of (1, 0).  That translate is a
+    stabilizer, not an overlap."""
+    lat, ample, grp, nef, _ = setups["R"]
+    half = cone_from_inequalities(lat, [(1, 1)])
+    assert (half.rays, half.lineality, half.full_dim) == (((1, 0),), ((1, -1),), True)
+    swapped = transform_cone(lat, half, SWAP)
+    assert swapped.rays == ((0, 1),) and swapped.normals == half.normals
+    fake = SterkDomain(cone=half, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    cert = verify_fundamental(lat, ample, grp, fake, nef, samples=0, word_length=1)
+    assert grp.gens[1] == SWAP
+    assert (1,) in cert.stabilizer_words
+    assert (1,) not in cert.tiling_overlaps
+
+
+def test_a_word_that_fixes_H_has_no_separating_cut(setups):
+    """The swap fixes H = (1, 1) on L_R, so its cut h - H is zero and pairs
+    to 0 with every ray: it would pass for a cut that separates the wedge
+    with rays (0, 1) and (2, -7) from its image, with rays (1, 0) and
+    (-7, 2).  Their interiors meet, and the double description says so."""
+    lat, ample, grp, nef, _ = setups["R"]
+    wedge = cone_from_inequalities(lat, [(0, 1), (-2, 7)])
+    assert wedge.rays == ((0, 1), (2, -7)) and wedge.pointed and wedge.full_dim
+    assert not interiors_disjoint(lat, wedge, transform_cone(lat, wedge, SWAP))
+    fake = SterkDomain(cone=wedge, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    cert = verify_fundamental(lat, ample, grp, fake, nef, samples=0, word_length=1)
+    assert grp.gens[1] == SWAP
+    assert (1,) in cert.tiling_overlaps
+
+
 @pytest.mark.parametrize(
     "source, name", [("rank2", n) for n in sorted(RANK2)] + [("fixture", n) for n in "UPR"]
 )
