@@ -19,8 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+from . import linalg
 from . import report as rpt
-from .cones import intersection, transform_cone
 from .enumeration import roots_up_to_degree, separating_roots
 from .errors import BrokenInvariant, GeometryError
 from .groups import filter_preserving_K
@@ -125,23 +125,26 @@ def _cmd_nef_test(problem: Problem, args):
 
 
 def _dot_graph(problem: Problem, domain: SterkDomain | None) -> str:
-    """Adjacency of the domain and its translates by words up to DOT_WORD_LENGTH."""
+    """Adjacency of the domain and its translates by words up to DOT_WORD_LENGTH.
+
+    aD and bD share a facet iff bH = a(h), h the orbit point of an active cut
+    of D (apply a^-1).  D is of Dirichlet type, so a point of D and kD pairs
+    alike with H and kH: a shared facet lies on kH's bisector, and on no wall
+    delta, which would make kH = s_delta(H), outside the chamber.  Across the
+    cut of kH, points pair least with kH, so they lie in kD.
+    """
     lines = ["graph chamber_adjacency {", '  node [shape=box];']
     if domain is None:  # no nodes
         return "\n".join(lines + ["}"]) + "\n"
-    lat = problem.lattice
-    cones = [("e", domain.cone)]
-    for g, word in group_words(problem.group, DOT_WORD_LENGTH):
-        label = "*".join(f"g{i}" for i in word)
-        cones.append((label, transform_cone(lat, domain.cone, g)))
+    words = group_words(problem.group, DOT_WORD_LENGTH)
+    nodes = [("e", linalg.identity(len(problem.ample)))]
+    nodes += [("*".join(f"g{i}" for i in word), g) for g, word in words]
     lines.append('  "e" [style=bold];')
-    for label, _ in cones[1:]:
-        lines.append(f'  "{label}";')
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            meet = intersection(lat, cones[i][1], cones[j][1])
-            if meet.dimension() == lat.rank - 1:
-                lines.append(f'  "{cones[i][0]}" -- "{cones[j][0]}";')
+    lines += [f'  "{label}";' for label, _ in nodes[1:]]
+    for i, (a, g) in enumerate(nodes):
+        near = {linalg.mat_vec(g, c.orbit_point) for c in domain.cuts}
+        lines += [f'  "{a}" -- "{b}";' for b, k in nodes[i + 1:]
+                  if linalg.mat_vec(k, problem.ample) in near]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -63,10 +63,6 @@ class RationalCone(Record):
     def is_full_space(self) -> bool:
         return not self.normals
 
-    def dimension(self) -> int:
-        gens = list(self.rays) + list(self.lineality)
-        return linalg.matrix_rank(gens) if gens else 0
-
 
 class DoubleDescription:
     """The running state of {x : x . n >= 0 for every normal n added}.

@@ -86,10 +86,6 @@ def echelon(rows):
     return m[:r], pivots, d
 
 
-def matrix_rank(rows) -> int:
-    return len(echelon(rows)[0])
-
-
 def scaled_inverse(m):
     """``(adj, d)``: integer rows with ``m^-1 == adj / d``, where ``d == +-det(m)``.
 

@@ -4,11 +4,12 @@ The domain is the part of the ample chamber on the near side of every orbit
 point of the ample class: x satisfies x.(h - H) >= 0 for each orbit point h.
 Only finitely many orbit points matter; we take all of them up to a degree
 cap, check that the resulting cone is pointed, full-dimensional, spanned by
-rays that pass the chamber membership test, and that no ray can still be
-moved down by a generator (descent stability).  If any check fails the cap
-doubles, up to the shared doubling ceiling.  Running out is not an error: the
-answer is then the last candidate that failed only descent stability, flagged
-``saturated=False``, or None when no doubling gave a candidate.
+nef rays (which a certified chamber's facets decide, else each ray's search),
+and that no ray can still be moved down by a generator (descent stability).
+If any check fails the cap doubles, up to the shared doubling ceiling.
+Running out is not an error: the answer is then the last candidate that
+failed only descent stability, flagged ``saturated=False``, or None when no
+doubling gave a candidate.
 
 Reduction into the domain is walk-then-descend: reflections bring a class
 into the chamber (by the walls of the chamber the domain records, when it
@@ -119,7 +120,7 @@ def sterk_domain(
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
         dd.add(c.normal for c in cuts)
         cone = dd.cone()
-        if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays):
+        if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays, nef.cone):
             stable = all(
                 lat._pair(ample, linalg.mat_vec(g, r)) >= lat._pair(ample, r)
                 for r in cone.rays
@@ -282,14 +283,15 @@ def verify_fundamental(
     cut does not settle runs the double description of the domain and its
     translate.  A negative ``samples`` or ``word_length`` raises
     GeometryError, and so does a domain that is not full-dimensional, at its
-    first word that is not a stabilizer.
+    first word that is not a stabilizer.  ``nef`` decides ``rays_nef``, as in
+    ``sterk_domain``, so it must be the chamber of (lat, ample).
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if samples < 0:
         raise GeometryError(f"sample count {samples} is negative")
     if word_length < 0:
         raise GeometryError(f"word length {word_length} is negative")
-    rays_nef = _nef_rays(lat, ample, domain.cone.rays)
+    rays_nef = _nef_rays(lat, ample, domain.cone.rays, nef.cone)
 
     basis = nef.rays or (ample,) + domain.cone.rays
     columns = tuple(zip(*basis))

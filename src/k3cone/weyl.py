@@ -248,12 +248,14 @@ def _facet_witness(lat, cone, wall):
     return tuple(map(sum, zip(*tight)))
 
 
-def _nef_rays(lat, ample, rays, search=True) -> bool:
-    """Whether the rays lie in the closed positive cone and, with ``search``,
-    pass ``nef_test``; False, not an error, for a ray outside the cone."""
+def _nef_rays(lat, ample, rays, chamber: RationalCone | None) -> bool:
+    """Whether the rays are nef: in the closed positive cone (False, not an error,
+    if not), then inside the certified ``chamber``, which is Nef, else by ``nef_test``."""
     if not all(lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0 for r in rays):
         return False
-    return not search or all(nef_test(lat, ample, r) for r in rays)
+    if chamber is None:
+        return all(nef_test(lat, ample, r) for r in rays)
+    return all(lat._pair(n, r) >= 0 for n in chamber.normals for r in rays)
 
 
 def _certified_description(lat, ample, bound, cone):
@@ -261,9 +263,9 @@ def _certified_description(lat, ample, bound, cone):
     if not (cone.pointed and cone.full_dim):
         return None
     walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
-    # facets that are all walls certify themselves; an isotropic facet is no
-    # wall, so then every ray needs its separating search
-    if not _nef_rays(lat, ample, cone.rays, search=len(walls) < len(cone.normals)):
+    # facets that are all walls make the cone the chamber once its rays are in
+    # the positive cone; an isotropic facet is no wall, so then the search decides
+    if not _nef_rays(lat, ample, cone.rays, cone if len(walls) == len(cone.normals) else None):
         return None
     witnesses = tuple((wall, _facet_witness(lat, cone, wall)) for wall in walls)
     return NefDescription(walls, witnesses, bound, cone)

@@ -5,10 +5,11 @@ grids (numpy int64 stays exact at these sizes), greedy reflection walks driven
 by those box searches, breadth-first orbit balls, and dense residue checks.
 None of it shares code with the package under test, and none of it is meant
 to be fast or complete beyond the stated boxes -- the tests freeze values
-derived here and compare them against the package's certified output.  The
-one exception is ``nef_walls_by_root_scans``, a reference for the wall rule
-alone, which runs on the package's enumeration, double description and
-``nef_test``.
+derived here and compare them against the package's certified output.  Two
+exceptions run on the package's double description: ``meet_dimension``, a
+reference for the facet rule of ``sterk --dot``, and
+``nef_walls_by_root_scans``, a reference for the wall rule alone, which
+also runs on its enumeration and ``nef_test``.
 
 Conventions match the package: integer row vectors, pairing x.y = x^T G y,
 matrices act on column vectors.
@@ -313,6 +314,16 @@ def isometries_in_box(gram, box):
 
     extend([])
     return found
+
+
+def meet_dimension(lat, a, b):
+    """The dimension of the meet of two cones: the numpy rank of the rays and
+    lineality of the cone their normals cut out together."""
+    from k3cone import cone_from_inequalities
+
+    meet = cone_from_inequalities(lat, a.normals + b.normals)
+    generators = meet.rays + meet.lineality
+    return int(np.linalg.matrix_rank(np.array(generators))) if generators else 0
 
 
 def matrix_product(a, b):

@@ -5,6 +5,7 @@ JSON report on success and stderr one JSON error object on failure.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -17,9 +18,13 @@ import jsonschema
 
 import k3cone
 from k3cone import SCHEMA_VERSION, report_schema, weyl
-from k3cone.cli import main
+from k3cone.cli import _dot_graph, main
+from k3cone.cones import transform_cone
+from k3cone.sterk import group_words
 
 from conftest import PROBLEMS
+
+import oracles
 
 L_U = str(PROBLEMS / "l_u.json")
 L_P = str(PROBLEMS / "l_p.json")
@@ -43,6 +48,18 @@ def run_valid(capsys, *argv):
     assert error is None
     jsonschema.validate(report, report_schema())
     return code, report
+
+
+def run_child(timeout, *argv, **env):
+    """``python -m k3cone.cli`` in a child process, so that a regression fails
+    at the deadline instead of hanging; ``env`` replaces K3CONE_CEILING."""
+    src = str(Path(k3cone.__file__).resolve().parent.parent)
+    full = {k: v for k, v in os.environ.items() if k != "K3CONE_CEILING"} | env
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "k3cone.cli", *argv],
+        env=full, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 # ---------------------------------------------------------------- happy paths
@@ -580,6 +597,69 @@ def test_dot_output(tmp_path, capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
+
+# gram, generators: the setups of the dot rule's sweep over ample classes
+DOT_SETUPS = {
+    "L_P": ([[4, 0], [0, -2]], [[[3, -2], [4, -3]]]),
+    "L_R": ([[2, 7], [7, 2]], [[[0, -1], [1, 7]], [[0, 1], [1, 0]]]),
+    # the Pell matrix and the flip on diag(2, -6)
+    "pell": ([[2, 0], [0, -6]], [[[2, 3], [1, 2]], [[1, 0], [0, -1]]]),
+    # U+A1^2 with the swap of the A1 summands
+    "U+A1^2": (
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]],
+        [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_SETUPS))
+def test_dot_edges_are_the_translates_that_share_a_facet(name):
+    """The orbit-point rule of ``sterk --dot`` against the meet of each pair
+    of translates, for every ample class with coordinates in [0, 8] that the
+    generators preserve, at ceilings 0, 1 and 3."""
+    gram, gens = DOT_SETUPS[name]
+    lat = k3cone.Lattice(tuple(map(tuple, gram)))
+    domains = edges = 0
+    for ample in itertools.product(range(9), repeat=lat.rank):
+        if lat.norm(ample) <= 0:
+            continue
+        text = json.dumps({"rank": lat.rank, "gram": gram, "ample": ample, "generators": gens})
+        try:
+            problem = k3cone.parse_problem(text)
+            nef = problem.nef
+        except k3cone.GeometryError:  # on a wall, or a generator moves the chamber
+            continue
+        for ceiling in (0, 1, 3):
+            domain = k3cone.sterk_domain(lat, ample, problem.group, nef, ceiling=ceiling)
+            if domain is None:
+                continue
+            nodes = [("e", domain.cone)] + [
+                ("*".join(f"g{i}" for i in word), transform_cone(lat, domain.cone, g))
+                for g, word in group_words(problem.group, weyl.DOT_WORD_LENGTH)
+            ]
+            want = {
+                f'  "{a}" -- "{b}";'
+                for (a, ca), (b, cb) in itertools.combinations(nodes, 2)
+                if oracles.meet_dimension(lat, ca, cb) == lat.rank - 1
+            }
+            got = {line for line in _dot_graph(problem, domain).splitlines() if " -- " in line}
+            assert got == want, (ample, ceiling)
+            domains, edges = domains + 1, edges + len(want)
+    assert domains and edges
+
+
+def test_sterk_and_nodal_table_on_rank_18_finish_with_every_certificate_true():
+    """U+E8(-1)+E8(-1) (rank 18, 82 domain rays): the certified chamber's
+    facets decide the rays' nefness, so neither command runs a separating
+    search per ray."""
+    path = str(PROBLEMS / "u_e8e8.json")
+    for argv in (["sterk", path], ["orbits", path, "--kind", "nodal"]):
+        done = run_child(60, *argv)
+        assert done.returncode == 0, done.stderr
+        certificates = json.loads(done.stdout)["certificates"]
+        assert certificates and all(v is True for v in certificates.values()), certificates
+
+
 # ---------------------------------------------------------------- env overrides
 
 
@@ -635,14 +715,7 @@ def test_ceiling_env_governs_generator_verification(tmp_path):
         "ample": [3, 1, 1],
         "generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
     }))
-    src = str(Path(k3cone.__file__).resolve().parent.parent)
-    env = dict(os.environ, K3CONE_CEILING="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # a child process, so that a regression fails at the deadline instead of hanging
-    done = subprocess.run(
-        [sys.executable, "-m", "k3cone.cli", "validate", str(prob)],
-        env=env, capture_output=True, text=True, timeout=5,
-    )
+    done = run_child(5, "validate", str(prob), K3CONE_CEILING="1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["results"]["generators_verified"] == "1"
 
@@ -678,17 +751,9 @@ def test_walls_on_u_e8_is_the_e10_diagram():
     """U+E8(-1) at its Weyl vector certifies within seconds: the E10 = T(2,3,7)
     chamber.  So does U+E8(-1)+E8(-1) (rank 18): Vinberg's 19 walls, all of
     degree 1."""
-    src = str(Path(k3cone.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env.pop("K3CONE_CEILING", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # the rank-18 chamber's diagram has two branch nodes, so only E10's has arms
     for name, count, arms in (("u_e8", 10, [1, 2, 6]), ("u_e8e8", 19, None)):
-        # a child process, so that a regression fails at the deadline instead of hanging
-        done = subprocess.run(
-            [sys.executable, "-m", "k3cone.cli", "walls", str(PROBLEMS / f"{name}.json")],
-            env=env, capture_output=True, text=True, timeout=10,
-        )
+        done = run_child(10, "walls", str(PROBLEMS / f"{name}.json"))
         assert done.returncode == 0, done.stderr
         rep = json.loads(done.stdout)
         assert rep["certificates"]["complete"] is True

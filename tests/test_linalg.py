@@ -117,7 +117,6 @@ def test_echelon_is_a_multiple_of_the_rational_rref(m):
     assert pivots == want_pivots
     assert rows == [[d * x for x in row] for row in want]
     assert all(rows[i][c] == d for i, c in enumerate(pivots))
-    assert linalg.matrix_rank(m) == len(want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -28,6 +28,7 @@ from k3cone import (
     elliptic_orbits,
     genus_orbits,
     interiors_disjoint,
+    nef_test,
     nef_walls,
     orbit_of_ample,
     primitive_ray,
@@ -418,6 +419,22 @@ def test_domain_ray_outside_the_positive_cone_is_not_nef(setups):
     assert latP.norm((0, 1)) < 0
     fake = SterkDomain(cone=quadrant, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
     cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=20, word_length=2, seed=1)
+    assert not cert.rays_nef
+    assert not cert.ok
+
+
+def test_domain_ray_outside_the_certified_chamber_is_not_nef(setups):
+    """A hand-built domain whose ray (1, -1) lies in the positive cone but
+    beyond the chamber wall (0, -1): the certified chamber's facets, not
+    the positive cone alone, decide that the ray is not nef."""
+    latP, ampleP, grpP, nefP, _ = setups["P"]
+    assert nefP.complete and (0, -1) in nefP.cone.normals
+    wide = cone_from_inequalities(latP, [(1, -2), (1, 2)])
+    assert wide.rays == ((1, -1), (1, 1))
+    assert all(latP.norm(r) > 0 and latP.pairing(ampleP, r) > 0 for r in wide.rays)
+    assert not nef_test(latP, ampleP, (1, -1))
+    fake = SterkDomain(cone=wide, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=0, word_length=1)
     assert not cert.rays_nef
     assert not cert.ok
 
