@@ -281,7 +281,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sterk", help="fundamental domain and its certificates")
     common(p)
     p.add_argument("--seed", type=integer, default=None,
-                   help="seed for sampled verification (overrides bounds.seed)")
+                   help="echoed in the certificate; nothing is sampled (overrides bounds.seed)")
     p.add_argument("--dot", help="write chamber adjacency graph to this file")
     common(sub.add_parser("reduce", help="reduce a class into the domain"),
            with_class=True)

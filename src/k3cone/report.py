@@ -58,7 +58,7 @@ def nef_payload(nef: NefDescription) -> dict:
     return {
         "walls": nef.walls,
         "rays": nef.rays,
-        "polyhedral": nef.polyhedral,
+        "polyhedral": nef.complete,
         "search_bound": nef.certification_bound,
         "facet_witnesses": [{"wall": w, "point": p} for w, p in nef.witnesses],
         "cone": cone_payload(nef.cone),

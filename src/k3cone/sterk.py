@@ -19,12 +19,12 @@ the domain, so the reduction always lands there.  One prepared reducer per
 (lattice, ample class, group, domain) does every reduction: it builds G H,
 the chamber's wall check and the sorted move table once, then checks each
 class's positive closure and each endpoint's membership in the domain.
-``reduce_to_domain`` builds one and applies it once; the sampled coverage
-check and the orbit tables build one per call and apply it to every class.
-``verify_fundamental`` spot-checks the two fundamental-domain properties
-(coverage on random samples, disjoint interiors of translates) and returns
-a certificate of what was actually established.  Each translate gD is
-decided exactly, first by a separating cut: for h = gH != H, a domain D of
+``reduce_to_domain`` builds one and applies it once; the orbit tables build
+one per call and apply it to every class.  ``verify_fundamental`` decides
+coverage, not by samples: a reduction stops in the cone K of the chamber
+rows and the rows m^-1(H) - H of the moves m, and one double description
+decides whether K lies in the domain D.  Each translate gD of a word ball
+is decided exactly, first by a separating cut: for h = gH != H, a domain D of
 Dirichlet type lies in {x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0},
 so D and gD share no interior point.  The check runs on D's rays and their
 images, which generate D and gD when D is pointed.  Only a word the cut does
@@ -34,7 +34,6 @@ D and gD together.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from operator import mul
 
@@ -212,7 +211,7 @@ def _reducer(lat: Lattice, ample: Vec, group: GroupGenerators, domain: SterkDoma
 
 
 class FundamentalCertificate(Record):
-    """What the sampled checks established.
+    """What the checks established; ``samples`` and ``seed`` are echoed only.
 
     ``stabilizer_words`` lists group elements that carry the domain onto
     itself exactly; a fundamental domain tolerates these (they are its own
@@ -267,24 +266,27 @@ def verify_fundamental(
     word_length: int = Bounds.word_length,
     seed: int = Bounds.seed,
 ) -> FundamentalCertificate:
-    """Sampled coverage plus pairwise-disjointness of word translates.
+    """Exact coverage plus pairwise-disjointness of word translates.
 
-    Coverage draws non-negative integer combinations of the chamber rays
-    (of the ample class and the domain rays, when the chamber is round),
-    scatters them by random generator words, and reduces each back into the
-    domain.  On a domain from ``sterk_domain`` coverage holds by
-    construction, so the samples cross-check the reduction.  Tiling checks
-    every distinct group element spelled by a word of at most
-    ``word_length`` generators: its translate of the domain must either
-    coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
-    the ample class) or meet it in no interior point.  On a pointed domain
-    the cut of h = gH != H decides the second exactly, when the domain's
-    rays pair >= 0 with h - H and their images pair <= 0; only a word the
-    cut does not settle runs the double description of the domain and its
-    translate.  A negative ``samples`` or ``word_length`` raises
-    GeometryError, and so does a domain that is not full-dimensional, at its
-    first word that is not a stabilizer.  ``nef`` decides ``rays_nef``, as in
-    ``sterk_domain``, so it must be the chamber of (lat, ample).
+    ``coverage_ok`` holds exactly when the cone K where reductions stop
+    (see the module docstring) lies in the domain: K's rays pair >= 0 with
+    the domain's facets, and its lineality pairs 0.  A domain from
+    ``sterk_domain`` has only chamber rows and active cuts for facets, so K
+    lies in it.  ``coverage_failures`` lists the rays of K outside the domain
+    that lie in the closed positive cone and fail to reduce into it; on a
+    certified chamber each is its own endpoint.  Tiling checks every
+    distinct group element spelled by a word of at most ``word_length``
+    generators: its translate of the domain must either coincide with the
+    domain (a stabilizer symmetry, e.g. a generator fixing the ample class)
+    or meet it in no interior point.  On a pointed domain the cut of
+    h = gH != H decides the second exactly, when the domain's rays pair >= 0
+    with h - H and their images pair <= 0; only a word the cut does not
+    settle runs the double description of the domain and its translate.
+    ``samples`` and ``seed`` are only echoed.  A negative ``samples`` or
+    ``word_length`` raises GeometryError, and so does a domain that is not
+    full-dimensional, at its first word that is not a stabilizer.  ``nef``
+    decides ``rays_nef``, as in ``sterk_domain``, so it must be the chamber
+    of (lat, ample).
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if samples < 0:
@@ -293,24 +295,23 @@ def verify_fundamental(
         raise GeometryError(f"word length {word_length} is negative")
     rays_nef = _nef_rays(lat, ample, domain.cone.rays, nef.cone)
 
-    basis = nef.rays or (ample,) + domain.cone.rays
-    columns = tuple(zip(*basis))
-    rng = random.Random(seed)
+    # m^-1(H) for each move m: a generator's inverse applied to H, or a cut's orbit point
+    images = [linalg.mat_vec(group.gens[j], ample) for j in group.inverses]
+    images += [c.orbit_point for c in domain.cuts]
+    dd = DoubleDescription(lat)
+    dd.add(nef.cone.normals if nef.complete else nef.walls)
+    dd.add(primitive_ray(tuple(a - b for a, b in zip(h, ample))) for h in images if h != ample)
+    normals = [lat._dual(n) for n in domain.cone.normals]
+    outside = sorted(r for r in dd.rays if any(sum(map(mul, n, r)) < 0 for n in normals))
+    coverage_ok = not (outside or any(sum(map(mul, n, l)) for l in dd.lineality for n in normals))
     reduce = _reducer(lat, ample, group, domain)
     failures = []
-    for _ in range(samples):
-        coeffs = [rng.randint(0, 6) for _ in basis]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(basis))] = 1
-        x = tuple(sum(map(mul, coeffs, col)) for col in columns)
-        for _ in range(rng.randint(0, word_length)):
-            if group.gens:
-                x = linalg.mat_vec(group.gens[rng.randrange(len(group.gens))], x)
-        try:
-            reduce(x)
-        except CoverageFailure:
-            failures.append(x)
-    coverage_ok = not failures
+    for r in outside:
+        if lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0:
+            try:
+                reduce(r)
+            except CoverageFailure:
+                failures.append(r)
 
     cone = domain.cone
     # the rays generate a pointed cone, so they decide its stabilizers and

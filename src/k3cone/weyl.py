@@ -77,9 +77,9 @@ class Bounds(Record):
 
     ``ceiling`` counts the bound doublings a search makes before it gives up;
     ``enumeration`` is the degree bound of root and orbit-table searches
-    (None: a multiple of H^2, below); ``samples``, ``word_length`` and
-    ``seed`` drive ``verify_fundamental``'s sampled checks.  A problem file's
-    ``bounds`` overrides them (``problem.parse_problem``).
+    (None: a multiple of H^2, below); ``word_length`` bounds the tiling words
+    of ``verify_fundamental``, which echoes ``samples`` and ``seed``.  A
+    problem file's ``bounds`` overrides them (``problem.parse_problem``).
     """
 
     ceiling: int = 12
@@ -114,8 +114,6 @@ class NefDescription(Record):
     def complete(self) -> bool:
         """Whether the walls are certified to be all of them."""
         return self.cone is not None
-
-    polyhedral = complete  # a certified chamber is the cone its walls cut out
 
     @property
     def rays(self) -> tuple[Vec, ...]:

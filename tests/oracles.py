@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -347,6 +348,28 @@ def orbit_ball(gens, x, depth):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def scattered_samples(basis, gens, samples, word_length, seed):
+    """Random cone classes: non-negative integer combinations of ``basis``
+    (coefficients in [0, 6], never all zero), each then moved by a random
+    word of at most ``word_length`` of ``gens``.
+
+    A seed fixes the classes, so a test can pin the seeds that exposed a
+    descent fault.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        coeffs = [rng.randint(0, 6) for _ in basis]
+        if not any(coeffs):
+            coeffs[rng.randrange(len(basis))] = 1
+        x = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(len(basis[0])))
+        for _ in range(rng.randint(0, word_length)):
+            if gens:
+                x = apply_matrix(gens[rng.randrange(len(gens))], x)
+        out.append(x)
+    return out
 
 
 def degree_capped_orbit(gram, ample, gens, cap):

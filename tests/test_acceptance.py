@@ -153,7 +153,7 @@ def test_criterion_3_nef_walls(capsys, setups):
         and setups["U"][3].walls == ((-1, 1),)
         and setups["U"][3].rays == ((1, 0), (1, 1))
         and setups["R"][3].walls == ()
-        and setups["R"][3].polyhedral is False
+        and setups["R"][3].complete is False
     )
     announce(capsys, 3, "nef walls exact on L_U / L_P, non-polyhedral on L_R", ok)
 
@@ -211,7 +211,7 @@ def test_criterion_6_fundamentality(capsys, setups):
         ok = ok and cert.coverage_ok and cert.coverage_failures == ()
         ok = ok and cert.tiling_ok and cert.tiling_overlaps == ()
         ok = ok and cert.rays_nef and cert.ok
-    announce(capsys, 6, "200-sample coverage and word<=3 tiling certificates", ok)
+    announce(capsys, 6, "exact coverage and word<=3 tiling certificates", ok)
 
 
 # ------------------------------------------------------------------ 7. orbit tables

@@ -1,4 +1,4 @@
-"""Orbit-cut fundamental domains and their sampling certificates.
+"""Orbit-cut fundamental domains and their certificates.
 
 The domain is the part of the ample chamber on the near side of every
 half-space H . (h - H) >= 0, h ranging over the degree-capped group orbit of
@@ -189,15 +189,15 @@ def test_hand_built_domain_out_of_reach_raises_coverage_failure(setups):
     assert exc.value.reduced == (1, 0)
 
 
-def test_sampled_coverage_reports_the_out_of_reach_domain(setups):
-    # the sample loop reduces through one shared reducer; it still checks
-    # each endpoint against the domain, as the public reduction does
+def test_coverage_reports_the_out_of_reach_domain(setups):
+    # the chamber ray (1, 0) is a ray of the cone where reductions stop, and
+    # the narrow domain misses it; the shared reducer confirms the failure
     latP, ampleP, grpP, nefP, _ = setups["P"]
     narrow = cone_from_inequalities(latP, [(1, 2), (-1, -4)])
     fake = SterkDomain(cone=narrow, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
     cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=40, word_length=2, seed=1)
     assert not cert.coverage_ok
-    assert cert.coverage_failures
+    assert cert.coverage_failures == ((1, 0),)
     for x in cert.coverage_failures:
         with pytest.raises(CoverageFailure):
             reduce_to_domain(latP, ampleP, grpP, fake, x)
@@ -311,6 +311,81 @@ def test_fundamental_certificate_holds_where_greedy_descent_stuck(name, seed):
     cert = verify_fundamental(lat, ample, grp, dom, nef, samples=200, seed=seed)
     assert cert.coverage_failures == ()
     assert cert.ok
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(n, 0) for n in "UPR"]
+    + [(n, seed) for n in ("D41", "D51", "D52", "R13") for seed in (0, 6, 9, 11, 12, 14)],
+)
+def test_scattered_samples_reduce_into_the_domain(setups, name, seed):
+    """A sampled oracle for the exact coverage check: chamber classes (the
+    ample class and the domain rays, where the chamber is round) scattered
+    by random generator words all reduce into the domain."""
+    lat, ample, grp, nef, dom = setups[name] if name in setups else _setup(name)
+    basis = nef.rays or (ample,) + dom.rays
+    for x in O.scattered_samples(basis, grp.gens, 200, 3, seed):
+        end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
+        assert contains(lat, dom.cone, end), x
+        assert _replay(lat.gram, grp.gens, x, reflections, word) == end
+
+
+def test_coverage_is_decided_not_sampled(setups):
+    """A hand-built L_P domain without its ray (1, 1): (1, 1) lies in the
+    chamber and no move lowers it, so its reduction stops outside.  The
+    certificate says so at every sample count and seed, zero included."""
+    lat, ample, grp, nef, _ = setups["P"]
+    cone = cone_from_inequalities(lat, [(0, -1), (19, 40)])
+    assert cone.rays == ((1, 0), (20, 19))
+    fake = SterkDomain(cone=cone, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
+    certs = {
+        (samples, seed): verify_fundamental(lat, ample, grp, fake, nef, samples=samples, seed=seed)
+        for samples in (0, 40, 200)
+        for seed in (0, 1, 7)
+    }
+    for (samples, seed), cert in certs.items():
+        assert (cert.samples, cert.seed) == (samples, seed)
+        assert replace(cert, samples=0, seed=0) == certs[0, 0]
+    assert not certs[0, 0].coverage_ok
+    assert certs[0, 0].coverage_failures == ((1, 1),)
+
+
+def test_coverage_reads_the_lineality_of_the_stopping_cone(setups):
+    """With the swap alone on L_R, no move lowers any class and the chamber
+    is round, so the cone where reductions stop is the whole plane: it has
+    no ray, only lineality.  The wedge x1 >= 0, 7 x1 + 2 x2 >= 0 misses the
+    positive class (-1, 7), whose reduction stops where it starts."""
+    lat, ample, _, nef, _ = setups["R"]
+    swap_only = build_group(lat, ample, [SWAP], nef)
+    wedge = cone_from_inequalities(lat, [(0, 1), (-2, 7)])
+    fake = SterkDomain(cone=wedge, cuts=(), orbit_bound=72, orbit_size=1, saturated=True)
+    with pytest.raises(CoverageFailure):
+        reduce_to_domain(lat, ample, swap_only, fake, (-1, 7))
+    cert = verify_fundamental(lat, ample, swap_only, fake, nef, samples=0, word_length=1)
+    assert not cert.coverage_ok
+    assert cert.coverage_failures == ()
+
+
+@pytest.mark.parametrize(
+    "name, ample",
+    [("L_R", (1, 1))] + [("diag(2,-6)", ample) for ample in ((1, 0), (2, 1), (3, 1), (4, 1))],
+)
+def test_coverage_on_a_chamber_that_is_not_certified(setups, name, ample):
+    """Round chambers: no walls, so the cone where reductions stop is cut by
+    the moves' rows alone, and it still lies in the domain.  diag(2,-6) at
+    (4, 1) is where greedy generator descent stopped outside the domain."""
+    if name == "L_R":
+        lat, ample, grp, nef, dom = setups["R"]
+    else:
+        lat = Lattice(GRAM_D)
+        nef = nef_walls(lat, ample)
+        grp = build_group(lat, ample, (PELL, FLIP), nef)
+        dom = sterk_domain(lat, ample, grp, nef)
+    assert nef.walls == () and not nef.complete
+    cert = verify_fundamental(lat, ample, grp, dom, nef, samples=0)
+    assert cert.coverage_ok and cert.coverage_failures == ()
+    if ample == (4, 1):
+        assert cert.ok
 
 
 def test_overlapping_domain_fails_tiling(setups, monkeypatch):
@@ -469,8 +544,8 @@ def test_negative_ceiling_raises(setups):
 
 @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"word_length": -1}, {"samples": -1, "word_length": -1}])
 def test_negative_sample_count_or_word_length_raises(setups, kwargs):
-    """A negative sample count would certify coverage on no samples, and a
-    negative word length would escape from the sampler as a bare ValueError."""
+    """Both are input errors: the sample count is only echoed, and a
+    negative word length would spell no tiling words."""
     lat, ample, grp, nef, dom = setups["R"]
     with pytest.raises(GeometryError):
         verify_fundamental(lat, ample, grp, dom, nef, **{"samples": 5, **kwargs})

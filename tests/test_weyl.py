@@ -132,7 +132,7 @@ def test_nef_walls_U():
     nef = nef_walls(lat, AMPLE_U)
     assert nef.walls == ((-1, 1),)
     assert nef.rays == ((1, 0), (1, 1))
-    assert nef.polyhedral and nef.complete and nef.stable
+    assert nef.complete and nef.stable
     assert nef.certification_bound == 8
     assert nef.witnesses == (((-1, 1), (1, 1)),)
     assert nef.cone.rays == ((1, 0), (1, 1))
@@ -143,7 +143,7 @@ def test_nef_walls_P():
     nef = nef_walls(lat, AMPLE_P)
     assert nef.walls == ((0, -1), (2, 3))
     assert nef.rays == ((1, 0), (3, 4))
-    assert nef.polyhedral and nef.complete and nef.stable
+    assert nef.complete and nef.stable
     assert nef.witnesses == (((0, -1), (1, 0)), ((2, 3), (3, 4)))
 
 
@@ -153,7 +153,6 @@ def test_nef_walls_R_non_polyhedral():
     nef = nef_walls(lat, AMPLE_R)
     assert nef.walls == ()
     assert nef.rays == ()
-    assert not nef.polyhedral
     assert not nef.complete  # honest flag: emptiness is evidence, not proof
     assert nef.stable
     assert nef.cone is None
@@ -165,7 +164,7 @@ def test_nef_walls_rank3():
     nef = nef_walls(lat, AMPLE_3)
     assert nef.walls == ((-1, 1, 0), (0, 0, -1), (1, 0, 1))
     assert nef.rays == ((1, 0, 0), (1, 1, 0), (2, 2, 1))
-    assert nef.polyhedral and nef.complete
+    assert nef.complete
 
 
 def test_nef_walls_match_discrete_chamber_oracle():
@@ -237,7 +236,7 @@ def test_u_e8_chamber_equals_batch_double_description():
     gram, rho = _fixture("u_e8")
     lat = Lattice(gram)
     nef = nef_walls(lat, rho)
-    assert nef.complete and nef.polyhedral and nef.stable
+    assert nef.complete and nef.stable
     assert nef.certification_bound == 2 * lat.norm(rho) == 2480
     assert len(nef.walls) == len(nef.rays) == 10
     assert all(lat.pairing(rho, w) == 1 for w in nef.walls)
@@ -359,7 +358,7 @@ def test_rootless_rank2_with_isotropic_rays_certifies():
     lat = Lattice(((0, 2), (2, 0)))
     assert roots_up_to_degree(lat, (1, 1), 40) == ()
     nef = nef_walls(lat, (1, 1))
-    assert nef.complete and nef.polyhedral
+    assert nef.complete
     assert nef.walls == () and nef.witnesses == ()
     assert nef.rays == ((0, 1), (1, 0))
     assert all(lat.norm(r) == 0 for r in nef.rays)
@@ -521,7 +520,7 @@ def test_ceiling_zero_gives_honest_partial_on_R():
     lat = Lattice(GRAM_R)
     nef = nef_walls(lat, AMPLE_R, ceiling=0)
     assert nef.walls == ()
-    assert not nef.polyhedral and not nef.complete
+    assert not nef.complete
     assert nef.stable
     assert nef.certification_bound == 36  # 2 * norm(H), no doublings allowed
 
