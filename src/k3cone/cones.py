@@ -11,6 +11,8 @@ out so far and the rows kept so far; ``add`` cuts it by more rows, one at a
 time, and ``cone`` finishes it.  ``cone_from_inequalities`` validates and
 deduplicates its normals, adds them, and finishes.  ``nef_walls`` keeps one
 state across its doublings and adds only the walls each doubling accepts.
+Ray duals ``G r`` are carried across cuts: a cut multiplies by G only its
+row and its new rays.
 
 A row that vanishes on the lineality and on which no ray is negative is
 implied by the cone so far, and stays implied, because adding rows only
@@ -92,11 +94,12 @@ class DoubleDescription:
 
     def _cut(self, n) -> bool:
         """One double-description step; False when the row is implied and dropped."""
-        lat, rays, masks = self.lat, self.rays, self.masks
+        rays, duals, masks = self.rays, self.duals, self.masks
         bit = 1 << len(self.normals)
-        pivot = next((l for l in self.lineality if lat._pair(n, l)), None)
+        gn = self.lat._dual(n)  # the row's one Gram product
+        ldots = [(l, sum(map(mul, gn, l))) for l in self.lineality]
+        pivot, ap = next(((l, d) for l, d in ldots if d), (None, 0))
         if pivot is not None:
-            ap = lat._pair(n, pivot)
             if ap < 0:
                 pivot, ap = tuple(-x for x in pivot), -ap
 
@@ -104,31 +107,26 @@ class DoubleDescription:
                 w = tuple(ap * x - dot * p for x, p in zip(v, pivot))
                 return primitive_ray(w) if any(w) else None
 
-            # the pivot itself projects to zero and drops out
-            lin = [project(l, lat._pair(n, l)) for l in self.lineality]
             # earlier rows vanish on the pivot, so a projected ray keeps its
             # tight set and gains this row; the pivot is tight on every earlier row
             fresh: dict[Vec, int] = {}
-            for r, g, m in zip(rays, self.duals, masks):
+            for r, g, m in zip(rays, duals, masks):
                 proj = project(r, sum(map(mul, n, g)))
                 if proj is not None:
                     fresh.setdefault(proj, m | bit)
             fresh.setdefault(pivot, bit - 1)
+            # the pivot itself projects to zero and drops out
+            lin = [project(l, d) for l, d in ldots]
             self.lineality = [l for l in lin if l is not None]
-            self._set_rays(fresh)
+            self._set_rays({}, fresh)
             return True
-        dots = [sum(map(mul, n, g)) for g in self.duals]
+        dots = [sum(map(mul, n, g)) for g in duals]
         if not dots or min(dots) >= 0:
             return False  # the cone already satisfies the row, and only shrinks
-        kept, plus, minus = {}, [], []
-        for i, d in enumerate(dots):
-            if d > 0:
-                kept[rays[i]] = masks[i]
-                plus.append(i)
-            elif d == 0:
-                kept[rays[i]] = masks[i] | bit
-            else:
-                minus.append(i)
+        plus = [i for i, d in enumerate(dots) if d > 0]
+        minus = [i for i, d in enumerate(dots) if d < 0]
+        kept = {rays[i]: (masks[i] | bit if d == 0 else masks[i], duals[i])
+                for i, d in enumerate(dots) if d >= 0}
         fresh = {}
         for i in plus:
             for j in minus:
@@ -140,13 +138,14 @@ class DoubleDescription:
                 )
                 if comb not in kept:
                     fresh.setdefault(comb, common | bit)
-        kept.update(fresh)
-        self._set_rays(kept)
+        self._set_rays(kept, fresh)
         return True
 
-    def _set_rays(self, masked: dict) -> None:
-        self.rays, self.masks = list(masked), list(masked.values())
-        self.duals = [self.lat._dual(r) for r in self.rays]
+    def _set_rays(self, kept: dict, fresh: dict) -> None:
+        """The kept rays, each with its mask and dual, then the new rays with their masks."""
+        self.rays = [*kept, *fresh]
+        self.masks = [m for m, _ in kept.values()] + list(fresh.values())
+        self.duals = [g for _, g in kept.values()] + [self.lat._dual(r) for r in fresh]
 
     def _adjacent(self, i: int, j: int, common: int) -> bool:
         """Whether rays i and j span a 2-face, given the rows tight on both."""

@@ -6,9 +6,13 @@ becomes, after splitting off H, a coset of the negative definite sublattice
 as an integer-scaled Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44,
 1985): the fraction-free LDL^T split of the slice form is computed once per
 (L, H) and scaled to integers, so the search compares integers against
-``isqrt`` bounds and builds no fraction at all.  Each (L, H) also keeps one
-degree-ordered stream per norm -- the vectors found so far and the degree
-scanned up to -- which degree-bounded queries extend past that mark and slice.
+``isqrt`` bounds and builds no fraction at all.  Centres are incremental
+(Agrell, Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 48, 2002): a node
+hands each lower coordinate its centre moved by the one term of the
+coordinate it fixed, and the last two levels run as one loop that solves the
+last coordinate in closed form.  Each (L, H) also keeps one degree-ordered
+stream per norm -- the vectors found so far and the degree scanned up to --
+which degree-bounded queries extend past that mark and slice.
 
 The same completeness argument powers ``separating_roots``: a root delta with
 ``delta.H > 0 > delta.x`` vanishes somewhere on the segment [H, x], and at a
@@ -60,7 +64,9 @@ class _Slice:
             raise ZeroVector("the degree form vanishes: the ample class is zero")
         self.base = cols[0]  # degree(base) = content
         self.kernel = cols[1:]  # saturated basis of the degree-zero sublattice
-        neg = [[-lat._pair(a, b) for b in self.kernel] for a in self.kernel]
+        self.columns = tuple(zip(*self.kernel))  # x[r] = point[r] + coeffs . columns[r]
+        duals = [lat._dual(b) for b in self.kernel]
+        neg = [[-sum(map(mul, a, g)) for g in duals] for a in self.kernel]
         minors, rows = linalg.ldl(neg)  # fraction-free, once per (L, H)
         if len(minors) < len(neg) or any(x <= 0 for x in minors):
             raise NonPositiveAmple("the slice form is not definite: H^2 <= 0")
@@ -75,14 +81,23 @@ class _Slice:
         self.delta, self.p, self.top = delta, p, p * p * delta * lc
         # at degree k * content: delta * z = k * centre and
         # delta * radius = k^2 * quad - delta * norm
-        lin = [lat._pair(self.base, b) for b in self.kernel]
+        lin = [sum(map(mul, self.base, g)) for g in duals]
         self.centre = [sum(map(mul, row, lin)) * delta // det for row in adj]
         self.quad = delta * lat._pair(self.base, self.base)
         self.quad += sum(map(mul, self.centre, lin))
+        # pu is p times the unit upper triangular U, so s = p * delta times the
+        # centre of coordinate l, once the c_j above it are fixed, is
+        # k * shift[l] - sum_j steps[j][l] * c_j
+        self.shift = [sum(map(mul, row, self.centre)) for row in self.pu]
+        self.steps = [[delta * row[j] for row in self.pu[:j]] for j in range(len(neg))]
         self.streams: dict[int, list] = {}
 
     def query(self, norm: int, degree: int) -> tuple[Vec, ...]:
-        """All x with x.x == norm and x.H == degree, lex-sorted; integers only."""
+        """All x with x.x == norm and x.H == degree, lex-sorted; integers only.
+
+        Centres are incremental (Agrell et al. 2002), and the level-1 loop
+        solves the last coordinate in closed form, so a leaf costs no call.
+        """
         if degree % self.content != 0:
             return ()
         k = degree // self.content
@@ -90,34 +105,38 @@ class _Slice:
         if dr < 0:
             return ()
         point = tuple(k * c for c in self.base)
-        m, kernel, pu, diag = len(self.kernel), self.kernel, self.pu, self.diag
+        m, diag, steps, columns = len(self.kernel), self.diag, self.steps, self.columns
         if m == 0:
             return (point,) if dr == 0 else ()
-        delta, p, s = self.delta, self.p, self.p * self.delta
-        zc = [k * c for c in self.centre]
+        s, d0, rest = self.p * self.delta, diag[0], self.top * dr
+        mids = [k * x for x in self.shift]
+        if m == 1:  # the one coordinate must use up the radius exactly
+            e, mid0 = isqrt(rest // d0), mids[0]
+            ts = [t for t in {(mid0 - e) // s, (mid0 + e) // s} if d0 * (s * t - mid0) ** 2 == rest]
+            return tuple(sorted(tuple(x + t * b for x, (b,) in zip(point, columns)) for t in ts))
         coeffs, out = [0] * m, []
 
-        def descend(i: int, rest: int):
-            # s times the centre of coordinate i, given the coordinates above it
-            mid = p * zc[i] - sum(
-                pu[i][j] * (delta * coeffs[j] - zc[j]) for j in range(i + 1, m)
-            )
-            if i == 0:  # the last coordinate must use up the radius exactly
-                e = isqrt(rest // diag[0])
-                for t in {(mid - e) // s, (mid + e) // s}:
-                    if diag[0] * (s * t - mid) ** 2 == rest:
-                        coeffs[0] = t
-                        out.append(tuple(
-                            x + sum(c * b[r] for c, b in zip(coeffs, kernel))
-                            for r, x in enumerate(point)
-                        ))
-                return
-            w = isqrt(rest // diag[i])
+        def descend(i: int, mids: list, rest: int):
+            # mids[l], for l <= i: s times coordinate l's centre given those above i
+            mid, di, step = mids[i], diag[i], steps[i]
+            w = isqrt(rest // di)
             for t in range(-((w - mid) // s), (mid + w) // s + 1):
                 coeffs[i] = t
-                descend(i - 1, rest - diag[i] * (s * t - mid) ** 2)
+                r = rest - di * (s * t - mid) ** 2
+                if i > 1:
+                    descend(i - 1, [a - b * t for a, b in zip(mids, step)], r)
+                    continue
+                # levels 1 and 0 in one loop: the last coordinate in closed form
+                mid0 = mids[0] - step[0] * t
+                e = isqrt(r // d0)
+                for t0 in {(mid0 - e) // s, (mid0 + e) // s}:
+                    if d0 * (s * t0 - mid0) ** 2 == r:
+                        coeffs[0] = t0
+                        out.append(tuple(
+                            x + sum(map(mul, coeffs, c)) for x, c in zip(point, columns)
+                        ))
 
-        descend(m - 1, self.top * dr)
+        descend(m - 1, mids, rest)
         return tuple(sorted(out))
 
     def stream(self, norm: int, bound: int) -> list[Vec]:
@@ -149,7 +168,7 @@ def classes_up_to_degree(
     ample = as_vector(ample, lat.rank, "ample class")
     found = _slice_for(lat, ample).stream(norm, bound)
     if primitive_only:
-        found = [v for v in found if linalg.vec_gcd(v) == 1]
+        found = [v for v in found if gcd(*v) == 1]
     return tuple(sorted(found))
 
 

@@ -17,6 +17,7 @@ hashed by their fields, and re-validated by ``replace``.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -148,7 +149,7 @@ class Lattice(Record):
 
     def _dual(self, y) -> Vec:
         """G y without re-validation: x . y is the plain dot product of x with it."""
-        return tuple(sum(map(mul, row, y)) for row in self.gram)
+        return tuple([sum(map(mul, row, y)) for row in self.gram])
 
     def norm(self, x) -> int:
         return self.pairing(x, x)
@@ -160,11 +161,10 @@ class Lattice(Record):
 
 def primitive_ray(x) -> Vec:
     """Divide out the content of x.  Never flips sign; rejects zero."""
-    vec = tuple(int(c) for c in x)
-    g = linalg.vec_gcd(vec)
+    g = gcd(*x)
     if g == 0:
         raise ZeroVector("the zero vector spans no ray")
-    return tuple(c // g for c in vec)
+    return x if g == 1 and type(x) is tuple else tuple(int(c) // g for c in x)
 
 
 def reflection_matrix(lat: Lattice, delta) -> Mat:

@@ -9,7 +9,6 @@ an integer: row elimination (``echelon``) and symmetric elimination
 
 from __future__ import annotations
 
-import math
 from operator import mul
 
 from .errors import NotUnimodular
@@ -48,13 +47,6 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def vec_gcd(v) -> int:
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    return g
 
 
 def echelon(rows):

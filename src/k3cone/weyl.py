@@ -44,9 +44,12 @@ hyperplane (``check_off_walls``):
   norm ``4 H^2 + 2 d^2 > 0`` and pairs ``2 alpha.H + d alpha.delta > 0``
   with every other wall alpha: it lies in the chamber, on delta's facet only.
 
-A certified wall's witness is the sum of its facet's rays instead.  A
-certified cone implies every root, so a chamber certified from a short root
-prefix is reported with the first bound, as if the prefix had reached it.
+A certified wall's witness is the sum of its facet's rays instead, read
+from the double description's masks: the rays whose mask has the wall's
+bit.  The rays' norms and degrees come from their duals, which the double
+description carries.  A certified cone implies every root, so a chamber
+certified from a short root prefix is reported with the first bound, as if
+the prefix had reached it.
 When certification runs out of doublings, the partial answer is the accepted
 walls, sorted, with their witnesses.  A rootless stretch from the first
 bound that stays empty across one doubling is reported as a round chamber
@@ -240,12 +243,6 @@ def nef_test(lat: Lattice, ample, x) -> bool:
     return next(_separating(lat, ample, x), None) is None
 
 
-def _facet_witness(lat, cone, wall):
-    """The sum of the wall's tight rays, inside its facet of the chamber."""
-    tight = [r for r in cone.rays if lat._pair(r, wall) == 0]
-    return tuple(map(sum, zip(*tight)))
-
-
 def _nef_rays(lat, ample, rays, chamber: RationalCone | None) -> bool:
     """Whether the rays are nef: in the closed positive cone (False, not an error,
     if not), then inside the certified ``chamber``, which is Nef, else by ``nef_test``."""
@@ -256,17 +253,25 @@ def _nef_rays(lat, ample, rays, chamber: RationalCone | None) -> bool:
     return all(lat._pair(n, r) >= 0 for n in chamber.normals for r in rays)
 
 
-def _certified_description(lat, ample, bound, cone):
-    """The certified chamber when the cone cut so far is it; None when not yet."""
-    if not (cone.pointed and cone.full_dim):
+def _certified_description(lat, ample, bound, dd: DoubleDescription):
+    """The certified chamber when the pointed cone ``dd`` cut so far is it; None when not yet."""
+    rays = zip(dd.rays, dd.duals)  # r.r and H.r from the carried duals
+    if not all(sum(map(mul, r, g)) >= 0 and sum(map(mul, ample, g)) > 0 for r, g in rays):
+        return None
+    cone = dd.cone()
+    if not cone.full_dim:
         return None
     walls = tuple(n for n in cone.normals if lat._pair(n, n) == -2)
     # facets that are all walls make the cone the chamber once its rays are in
     # the positive cone; an isotropic facet is no wall, so then the search decides
-    if not _nef_rays(lat, ample, cone.rays, cone if len(walls) == len(cone.normals) else None):
+    if len(walls) < len(cone.normals) and not all(nef_test(lat, ample, r) for r in dd.rays):
         return None
-    witnesses = tuple((wall, _facet_witness(lat, cone, wall)) for wall in walls)
-    return NefDescription(walls, witnesses, bound, cone)
+    witnesses = []
+    for wall in walls:
+        bit = 1 << dd.normals.index(wall)
+        tight = [r for r, m in zip(dd.rays, dd.masks) if m & bit]
+        witnesses.append((wall, tuple(map(sum, zip(*tight)))))
+    return NefDescription(walls, tuple(witnesses), bound, cone)
 
 
 def _degree_marks(first: int, ceiling: int):
@@ -311,14 +316,14 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
         dirty = dd.add(walls[accepted:]) > 0 or dirty
         if dirty and not dd.lineality:
             dirty = False
-            certified = _certified_description(lat, ample, max(bound, first), dd.cone())
+            certified = _certified_description(lat, ample, max(bound, first), dd)
             if certified is not None:
                 return certified
         if not roots and bound > first:
             return NefDescription((), (), bound)
     stable = not roots or lat._pair(ample, roots[-1]) <= bound // 2
     walls.sort()
-    witnesses = tuple(
-        (d, tuple(2 * h + lat._pair(ample, d) * x for h, x in zip(ample, d))) for d in walls
-    )
+    degrees = [lat._pair(ample, d) for d in walls]
+    witnesses = tuple((d, tuple(2 * h + k * x for h, x in zip(ample, d)))
+                      for d, k in zip(walls, degrees))
     return NefDescription(tuple(walls), witnesses, bound, stable=stable)

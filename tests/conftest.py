@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from k3cone import Lattice, build_group, enumeration, nef_walls, sterk_domain, validate_problem
+from k3cone import (
+    Lattice,
+    build_group,
+    enumeration,
+    linalg,
+    nef_walls,
+    sterk_domain,
+    validate_problem,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -30,6 +38,23 @@ def norm_degree(lat, ample, norm, degree):
 def separating_bound(lat, ample, x):
     """The package's degree bound for roots separating x from H."""
     return enumeration._degree_bound(lat.norm(ample), lat.pairing(ample, x), lat.norm(x))
+
+
+def changed_basis(rng, gram, ample):
+    """An isometric copy (P^T G P, P^-1 H) for a random unimodular P, and P^-1."""
+    n = len(gram)
+    p = linalg.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        step = tuple(
+            tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
+            for a in range(n)
+        )
+        p = linalg.mat_mul(p, step)
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)
+    inverse = linalg.invert_unimodular(p)
+    return gram, linalg.mat_vec(inverse, ample), inverse
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from k3cone import (
     intersection,
     transform_cone,
 )
+from k3cone.cones import DoubleDescription
 
 from conftest import GRAM_P, GRAM_R, GRAM_U
 
@@ -232,3 +233,37 @@ def test_double_description_agrees_with_ranks(system):
         assert set(c.normals) <= primitive
     for x in itertools.product((-1, 0, 1), repeat=n):
         assert contains(lat, c, x) == all(lat.pairing(x, row) >= 0 for row in rows)
+
+
+def _assert_carried_state(dd):
+    """The two facts certification reads: each ray's dual, and its tight rows' bits."""
+    lat = dd.lat
+    assert len(dd.duals) == len(dd.masks) == len(dd.rays)
+    for r, g, m in zip(dd.rays, dd.duals, dd.masks):
+        assert g == lat._dual(r)
+        for k, n in enumerate(dd.normals):
+            assert (m >> k & 1) == (lat.pairing(n, r) == 0), (r, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=row_systems())
+def test_double_description_carries_duals_and_masks(system):
+    lat, rows = system
+    dd = DoubleDescription(lat)
+    for row in rows:
+        dd.add([row])
+        _assert_carried_state(dd)
+
+
+def test_double_description_carries_duals_and_masks_on_a_random_system():
+    """Forty random rows, each positive on one point, so the cone stays full."""
+    rng = random.Random(27)
+    lat, inside = Lattice(LATTICES[5][0]), (3, 2, 1, 0, -1)
+    dd = DoubleDescription(lat)
+    while len(dd.normals) < 40:
+        row = tuple(rng.randint(-3, 3) for _ in range(5))
+        if lat.pairing(row, inside) > 0:
+            dd.add([row])
+            _assert_carried_state(dd)
+    cone = dd.cone()
+    assert cone.pointed and cone.full_dim and len(cone.rays) > 10

@@ -30,6 +30,7 @@ from k3cone import (
     classes_up_to_degree,
     enumeration,
     isotropics_up_to_degree,
+    linalg,
     rational_isotropic_rays,
     roots_up_to_degree,
     separating_roots,
@@ -42,6 +43,7 @@ from conftest import (
     GRAM_P,
     GRAM_R,
     GRAM_U,
+    changed_basis,
     norm_degree,
     random_even_hyperbolic,
     separating_bound,
@@ -254,6 +256,26 @@ def test_slice_integers_equal_the_fraction_reference(seed, rank):
     assert (s.p, s.top) == (p, p * p * s.delta * lc)
     assert s.diag == [lc * d for d in diag]
     assert all(s.pu[i][j] == p * ratios[i][j] for i in range(m) for j in range(i + 1, m))
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(2, 6),
+    norm=st.sampled_from((-2, 0, 2)),
+)
+def test_classes_follow_a_change_of_basis(seed, rank, norm):
+    """On (P^T G P, P^-1 H) the classes are the P^-1-images of those on (G, H).
+
+    A new basis gives the slice another kernel and so another search tree;
+    rank 6 runs three levels above the loop that holds the last two.
+    """
+    rng = random.Random(seed)
+    lat, ample = random_even_hyperbolic(rng, rank)
+    bound = {2: 60, 3: 30, 4: 16, 5: 12, 6: 10}[rank]
+    gram, moved, inverse = changed_basis(rng, lat.gram, ample)
+    want = sorted(linalg.mat_vec(inverse, x) for x in classes_up_to_degree(lat, ample, norm, bound))
+    assert list(classes_up_to_degree(Lattice(gram), moved, norm, bound)) == want
 
 
 def test_separating_roots_equal_oracle_filter():

@@ -16,7 +16,6 @@ from k3cone import (
     Lattice,
     cone_from_inequalities,
     enumeration,
-    linalg,
     nef_test,
     nef_walls,
     roots_up_to_degree,
@@ -32,6 +31,7 @@ from conftest import (
     GRAM_R,
     GRAM_U,
     PROBLEMS,
+    changed_basis,
     random_even_hyperbolic,
     separating_bound,
 )
@@ -468,22 +468,6 @@ def test_certified_witnesses(gram, ample):
     _assert_witnesses_are_facet_ray_sums(lat, ample, nef_walls(lat, ample))
 
 
-def _changed_basis(rng, gram, ample):
-    """An isometric copy (P^T G P, P^-1 H) for a random unimodular P."""
-    n = len(gram)
-    p = linalg.identity(n)
-    for _ in range(3):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        step = tuple(
-            tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
-            for a in range(n)
-        )
-        p = linalg.mat_mul(p, step)
-    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)
-    return gram, linalg.mat_vec(linalg.invert_unimodular(p), ample)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -495,7 +479,7 @@ def test_partial_witnesses_are_nef_with_separating_bound_their_degree(seed, diag
     gram = tuple(
         tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(diagonal)
     )
-    gram, ample = _changed_basis(random.Random(seed), gram, (3, 1, 1))
+    gram, ample, _ = changed_basis(random.Random(seed), gram, (3, 1, 1))
     lat = Lattice(gram)
     nef = nef_walls(lat, ample, ceiling=1)
     assert not nef.complete and nef.walls
