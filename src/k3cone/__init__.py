@@ -7,14 +7,7 @@ method, chamber walks by reflection, fundamental domains by orbit cuts, and
 orbit tables by reduce-and-merge canonicalization.
 """
 
-from .cones import (
-    RationalCone,
-    cone_from_inequalities,
-    contains,
-    interiors_disjoint,
-    intersection,
-    transform_cone,
-)
+from .cones import RationalCone, cone_from_inequalities
 from .enumeration import (
     check_positive_closure,
     classes_up_to_degree,
@@ -119,14 +112,11 @@ __all__ = [
     "check_positive_closure",
     "classes_up_to_degree",
     "cone_from_inequalities",
-    "contains",
     "elliptic_orbits",
     "exit_code_for",
     "filter_preserving_K",
     "find_isotropic",
     "genus_orbits",
-    "interiors_disjoint",
-    "intersection",
     "isotropics_up_to_degree",
     "nef_test",
     "nef_walls",
@@ -144,7 +134,6 @@ __all__ = [
     "separating_roots",
     "serialize_problem",
     "sterk_domain",
-    "transform_cone",
     "validate_problem",
     "verify_fundamental",
     "verify_generator",

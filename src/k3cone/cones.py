@@ -35,7 +35,8 @@ lattice.  Three consequences:
 
 The round positive cone is never materialized here; callers that need it use
 the predicate ``x.x >= 0 and x.H > 0`` directly and only hand in polyhedral
-sub-cones.
+sub-cones.  No cone operations live here either: an isometry g moves a
+normal by g itself, so a translate g(C) is cut out by the images of C's normals.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from functools import reduce
 from operator import and_, mul
 
 from . import linalg
-from .errors import GeometryError, ZeroVector
-from .lattice import Lattice, Mat, Record, Vec, as_vector, primitive_ray
+from .errors import ZeroVector
+from .lattice import Lattice, Record, Vec, as_vector, primitive_ray
 
 
 class RationalCone(Record):
@@ -60,10 +61,6 @@ class RationalCone(Record):
     @property
     def pointed(self) -> bool:
         return not self.lineality
-
-    @property
-    def is_full_space(self) -> bool:
-        return not self.normals
 
 
 class DoubleDescription:
@@ -205,8 +202,8 @@ def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
     (1, 0, 0), (0, 1, 0) and (1, 1, 0) cut out a wedge with lineality, and
     only the first two are stored.  Otherwise they are the primitive rows the
     double description kept, which cut out the same cone but omit each row
-    the rows before it imply.  No normals at all yields the full space,
-    flagged via ``is_full_space``.
+    the rows before it imply.  No normals at all yields the full space: no
+    rays, no normals, and the whole lattice for lineality.
     """
     seen: dict[Vec, None] = {}
     for n in normals:
@@ -217,28 +214,3 @@ def cone_from_inequalities(lat: Lattice, normals) -> RationalCone:
     dd = DoubleDescription(lat)
     dd.add(seen)
     return dd.cone()
-
-
-def contains(lat: Lattice, cone: RationalCone, x) -> bool:
-    """Membership in the closed cone (boundary included)."""
-    gx = lat._dual(as_vector(x, lat.rank))
-    return all(sum(map(mul, n, gx)) >= 0 for n in cone.normals)
-
-
-def intersection(lat: Lattice, a: RationalCone, b: RationalCone) -> RationalCone:
-    return cone_from_inequalities(lat, tuple(a.normals) + tuple(b.normals))
-
-
-def interiors_disjoint(lat: Lattice, a: RationalCone, b: RationalCone) -> bool:
-    """Whether two full-dimensional cones share no interior point."""
-    if not (a.full_dim and b.full_dim):
-        raise GeometryError("interiors_disjoint requires full-dimensional cones")
-    return not intersection(lat, a, b).full_dim
-
-
-def transform_cone(lat: Lattice, cone: RationalCone, g: Mat) -> RationalCone:
-    """The image cone g(C).  Pairing-normals transform by g itself."""
-    rays = tuple(sorted(primitive_ray(linalg.mat_vec(g, r)) for r in cone.rays))
-    normals = tuple(sorted(primitive_ray(linalg.mat_vec(g, n)) for n in cone.normals))
-    lineality = _canonical_lineality([linalg.mat_vec(g, l) for l in cone.lineality])
-    return RationalCone(cone.rank, normals, rays, lineality, cone.full_dim)

@@ -24,12 +24,11 @@ one per call and apply it to every class.  ``verify_fundamental`` decides
 coverage, not by samples: a reduction stops in the cone K of the chamber
 rows and the rows m^-1(H) - H of the moves m, and one double description
 decides whether K lies in the domain D.  Each translate gD of a word ball
-is decided exactly, first by a separating cut: for h = gH != H, a domain D of
-Dirichlet type lies in {x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0},
-so D and gD share no interior point.  The check runs on D's rays and their
-images, which generate D and gD when D is pointed.  Only a word the cut does
-not settle, which a hand-built domain allows, costs a double description of
-D and gD together.
+is decided exactly.  A pointed D's rays and their images generate D and gD,
+so they decide first: for h = gH != H, a domain of Dirichlet type lies in
+{x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0}.  D's facets decide the
+rest, which only a hand-built domain leaves: g carries them onto gD's, and
+one double description of both sets decides whether D and gD overlap.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from functools import partial
 from operator import mul
 
 from . import linalg
-from .cones import DoubleDescription, RationalCone, interiors_disjoint, transform_cone
+from .cones import DoubleDescription, RationalCone, cone_from_inequalities
 from .enumeration import _positive_closure
 from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
@@ -213,9 +212,11 @@ def _reducer(lat: Lattice, ample: Vec, group: GroupGenerators, domain: SterkDoma
 class FundamentalCertificate(Record):
     """What the checks established; ``samples`` and ``seed`` are echoed only.
 
-    ``stabilizer_words`` lists group elements that carry the domain onto
-    itself exactly; a fundamental domain tolerates these (they are its own
-    finite symmetries), so they do not count as tiling failures.
+    ``coverage_ok`` is sufficient, not necessary: False with no
+    ``coverage_failures`` leaves coverage undecided.  ``stabilizer_words``
+    lists group elements that carry the domain onto itself exactly; a
+    fundamental domain tolerates these (they are its own finite symmetries),
+    so they do not count as tiling failures.
     """
 
     rays_nef: bool
@@ -274,19 +275,19 @@ def verify_fundamental(
     ``sterk_domain`` has only chamber rows and active cuts for facets, so K
     lies in it.  ``coverage_failures`` lists the rays of K outside the domain
     that lie in the closed positive cone and fail to reduce into it; on a
-    certified chamber each is its own endpoint.  Tiling checks every
-    distinct group element spelled by a word of at most ``word_length``
-    generators: its translate of the domain must either coincide with the
-    domain (a stabilizer symmetry, e.g. a generator fixing the ample class)
-    or meet it in no interior point.  On a pointed domain the cut of
-    h = gH != H decides the second exactly, when the domain's rays pair >= 0
-    with h - H and their images pair <= 0; only a word the cut does not
-    settle runs the double description of the domain and its translate.
-    ``samples`` and ``seed`` are only echoed.  A negative ``samples`` or
-    ``word_length`` raises GeometryError, and so does a domain that is not
-    full-dimensional, at its first word that is not a stabilizer.  ``nef``
-    decides ``rays_nef``, as in ``sterk_domain``, so it must be the chamber
-    of (lat, ample).
+    certified chamber each is its own endpoint.  The test is sufficient, not
+    necessary: on L_R with only the swap, the half-plane x.H >= 0 reads
+    False with no failures, yet positive classes reduce into it.  Tiling
+    checks every distinct group element spelled by a word of at most
+    ``word_length`` generators: its translate of the domain must either
+    coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
+    the ample class) or meet it in no interior point.  The rays of a pointed
+    domain decide first and its facets decide the rest, as the module
+    docstring says.  ``samples`` and ``seed`` are only echoed.  A negative
+    ``samples`` or ``word_length`` raises GeometryError, and so does a
+    domain that is not full-dimensional, before any word, when the ball has
+    one.  ``nef`` decides ``rays_nef``, as in ``sterk_domain``, so it must
+    be the chamber of (lat, ample).
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if samples < 0:
@@ -314,27 +315,25 @@ def verify_fundamental(
                 failures.append(r)
 
     cone = domain.cone
-    # the rays generate a pointed cone, so they decide its stabilizers and
-    # cuts; a cone that is not full-dimensional is left to the guard in
-    # interiors_disjoint, since the cut would pass it
-    by_rays = cone.pointed and cone.full_dim
+    words = group_words(group, word_length)
+    if words and not cone.full_dim:
+        raise GeometryError("tiling needs a full-dimensional domain")
     overlaps = []
     stabilizers = []
-    for g, word in group_words(group, word_length):
-        if by_rays:
+    for g, word in words:
+        if cone.pointed:  # the rays generate the cone, so they decide the word first
             images = [linalg.mat_vec(g, r) for r in cone.rays]
             if tuple(sorted(map(primitive_ray, images))) == cone.rays:
                 stabilizers.append(word)
                 continue
             if _cut_separates(lat, ample, g, cone.rays, images):
                 continue
-        translate = transform_cone(lat, cone, g)
-        # the facets decide a full-dimensional cone; its rays are canonical
-        # only when it is pointed
-        same = translate.normals == cone.normals if cone.full_dim else translate.rays == cone.rays
-        if same and translate.lineality == cone.lineality:
+        # an isometry carries D's facets onto gD's, and the facets of a
+        # full-dimensional cone are canonical
+        moved = tuple(sorted(primitive_ray(linalg.mat_vec(g, n)) for n in cone.normals))
+        if moved == cone.normals:
             stabilizers.append(word)
-        elif not interiors_disjoint(lat, cone, translate):
+        elif cone_from_inequalities(lat, cone.normals + moved).full_dim:
             overlaps.append(word)
     tiling_ok = not overlaps
 

@@ -89,12 +89,17 @@ def problems_dir():
     return PROBLEMS
 
 
-def random_even_hyperbolic(rng: random.Random, rank: int = 3, spread: int = 6):
+def random_even_hyperbolic(
+    rng: random.Random, rank: int = 3, spread: int = 6, lattices: int = 100
+):
     """A random even lattice of signature (1, rank-1) with a valid ample class.
 
     Rejection-samples symmetric integer matrices with even diagonal and
     entries in [-spread, spread], then searches a small box for an ample
-    class of positive norm off every wall.
+    class of positive norm off every wall.  Raises once that search has
+    failed on ``lattices`` valid lattices, so a defect that rejects every
+    class fails instead of hanging; on working code a class turns up by the
+    second lattice.
     """
     while True:
         gram = [[0] * rank for _ in range(rank)]
@@ -116,3 +121,6 @@ def random_even_hyperbolic(rng: random.Random, rank: int = 3, spread: int = 6):
                 return validate_problem(lat.gram, v)
             except Exception:
                 continue
+        lattices -= 1
+        if not lattices:
+            raise AssertionError("every ample class was rejected on every lattice drawn")

@@ -19,7 +19,6 @@ import jsonschema
 import k3cone
 from k3cone import SCHEMA_VERSION, report_schema, weyl
 from k3cone.cli import _dot_graph, main
-from k3cone.cones import transform_cone
 from k3cone.sterk import group_words
 
 from conftest import PROBLEMS
@@ -634,7 +633,8 @@ def test_dot_edges_are_the_translates_that_share_a_facet(name):
             if domain is None:
                 continue
             nodes = [("e", domain.cone)] + [
-                ("*".join(f"g{i}" for i in word), transform_cone(lat, domain.cone, g))
+                ("*".join(f"g{i}" for i in word), k3cone.cone_from_inequalities(
+                    lat, [oracles.apply_matrix(g, n) for n in domain.cone.normals]))
                 for g, word in group_words(problem.group, weyl.DOT_WORD_LENGTH)
             ]
             want = {

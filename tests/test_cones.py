@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: double description, containment, transforms."""
+"""Rational polyhedral cones: the double description and its translates."""
 
 import itertools
 import math
@@ -6,19 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from k3cone import (
-    DimensionMismatch,
-    Isometry,
-    Lattice,
-    cone_from_inequalities,
-    contains,
-    interiors_disjoint,
-    intersection,
-    transform_cone,
-)
+from k3cone import DimensionMismatch, Lattice, cone_from_inequalities
 from k3cone.cones import DoubleDescription
 
 from conftest import GRAM_P, GRAM_R, GRAM_U
@@ -49,7 +40,7 @@ def test_opposite_halfplanes_collapse_to_line():
 def test_full_space_cone():
     lat = Lattice(GRAM_U)
     c = cone_from_inequalities(lat, [])
-    assert c.is_full_space
+    assert c.normals == ()
     assert c.rays == ()
     assert len(c.lineality) == 2
 
@@ -65,11 +56,10 @@ def test_chamber_cone_desk_values():
 def test_contains_uses_pairing_inequalities():
     lat = Lattice(GRAM_P)
     c = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    assert contains(lat, c, (1, 0))
-    assert contains(lat, c, (3, 4))  # boundary counts
-    assert contains(lat, c, (2, 1))
-    assert not contains(lat, c, (0, 1))
-    assert not contains(lat, c, (-1, 0))
+    # (3, 4) is on the boundary, which counts
+    for x, inside in (((1, 0), True), ((3, 4), True), ((2, 1), True), ((0, 1), False),
+                      ((-1, 0), False)):
+        assert all(oracles.pairing(GRAM_P, x, n) >= 0 for n in c.normals) == inside, x
 
 
 def test_rays_generate_their_cone():
@@ -80,62 +70,13 @@ def test_rays_generate_their_cone():
     for _ in range(50):
         coeffs = [rng.randint(0, 9) for _ in c.rays]
         v = tuple(sum(a * r[i] for a, r in zip(coeffs, c.rays)) for i in range(2))
-        assert contains(lat, c, v)
-
-
-def test_intersection():
-    lat = Lattice(GRAM_P)
-    chamber = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    half = cone_from_inequalities(lat, [(1, 0)])
-    both = intersection(lat, chamber, half)
-    assert both.rays == ((1, 0), (3, 4))
-    # cutting with an opposite halfplane leaves only the face where (2,3) vanishes
-    opposite = cone_from_inequalities(lat, [(-2, -3)])
-    face = intersection(lat, chamber, opposite)
-    assert face.rays == ((3, 4),)
-    assert oracles.meet_dimension(lat, chamber, opposite) == 1
+        assert all(oracles.pairing(GRAM_P, v, n) >= 0 for n in c.normals)
 
 
 def test_normals_rejected_on_wrong_rank():
     lat = Lattice(GRAM_U)
     with pytest.raises(DimensionMismatch):
         cone_from_inequalities(lat, [(1, 0, 0)])
-
-
-def test_transform_cone_covariance():
-    """transform_cone(g . C) must equal the cone cut by transformed normals."""
-    lat = Lattice(GRAM_P)
-    g = Isometry(lat, ((3, -2), (4, -3)))
-    c = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    moved = transform_cone(lat, c, g.matrix)
-    assert moved.rays == tuple(sorted(map(g.apply, c.rays)))
-    # membership transports: x in C iff g(x) in g(C)
-    rng = random.Random(17)
-    for _ in range(100):
-        x = tuple(rng.randint(-9, 9) for _ in range(2))
-        assert contains(lat, c, x) == contains(lat, moved, g.apply(x))
-
-
-def test_transform_cone_canonicalizes():
-    lat = Lattice(GRAM_P)
-    g = Isometry(lat, ((3, -2), (4, -3)))
-    c = cone_from_inequalities(lat, [(0, -1), (2, 3)])
-    round_trip = transform_cone(lat, transform_cone(lat, c, g.matrix), g.inverse().matrix)
-    assert round_trip.rays == c.rays
-    assert round_trip.lineality == c.lineality
-
-
-def test_interiors_disjoint():
-    lat = Lattice(GRAM_U)
-    a = cone_from_inequalities(lat, [(1, 0), (0, 1)])
-    b = cone_from_inequalities(lat, [(-1, 0), (0, -1)])
-    assert interiors_disjoint(lat, a, b)
-    # sharing a boundary ray is still disjoint in the interior
-    upper = cone_from_inequalities(lat, [(1, 0)])
-    lower = cone_from_inequalities(lat, [(-1, 0)])
-    assert interiors_disjoint(lat, upper, lower)
-    assert not interiors_disjoint(lat, a, a)
-    assert not interiors_disjoint(lat, a, upper)
 
 
 def test_lineality_vectors_satisfy_all_normals_with_equality():
@@ -163,8 +104,7 @@ def test_half_line_keeps_its_facet():
     c = cone_from_inequalities(lat, [(3,)])
     assert c.rays == ((1,),) and c.pointed and c.full_dim
     assert c.normals == ((1,),)
-    assert not c.is_full_space
-    assert not contains(lat, c, (-1,))
+    assert any(oracles.pairing(lat.gram, (-1,), n) < 0 for n in c.normals)
 
 
 # ---------------------------------------------------------------- against ranks
@@ -232,7 +172,54 @@ def test_double_description_agrees_with_ranks(system):
     else:
         assert set(c.normals) <= primitive
     for x in itertools.product((-1, 0, 1), repeat=n):
-        assert contains(lat, c, x) == all(lat.pairing(x, row) >= 0 for row in rows)
+        inside = all(oracles.pairing(lat.gram, x, n) >= 0 for n in c.normals)
+        assert inside == all(lat.pairing(x, row) >= 0 for row in rows)
+
+
+def _mirror(gram, v):
+    """The reflection x -> x - 2 (x.v) / (v.v) v in a vector v of norm 2 or -2."""
+    n, c = len(v), 2 // oracles.norm(gram, v)
+    gv = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+    return tuple(tuple(int(i == j) - c * v[i] * gv[j] for j in range(n)) for i in range(n))
+
+
+def _primitive(v):
+    return tuple(x // math.gcd(*v) for x in v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=row_systems(), data=st.data())
+def test_moved_facets_cut_out_the_moved_cone(system, data):
+    """An isometry g of a full-dimensional cone C: the cone cut by the
+    g-images of C's facets has them for facets, the g-image of C's
+    lineality for lineality, and the g-images of C's rays for rays (modulo
+    the lineality when there is one).  So a facet set decides g(C) = C."""
+    lat, rows = system
+    n = lat.rank
+    c = cone_from_inequalities(lat, rows)
+    assume(c.full_dim)
+    mirrors = [v for v in itertools.product((-1, 0, 1), repeat=n) if abs(lat.norm(v)) == 2]
+    g = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for v in data.draw(st.lists(st.sampled_from(mirrors), max_size=4)):
+        g = oracles.matrix_product(_mirror(lat.gram, v), g)
+    if data.draw(st.booleans()):
+        g = tuple(tuple(-x for x in row) for row in g)
+    moved = cone_from_inequalities(lat, [oracles.apply_matrix(g, f) for f in c.normals])
+    lin = [oracles.apply_matrix(g, l) for l in c.lineality]
+    rays = [_primitive(oracles.apply_matrix(g, r)) for r in c.rays]
+    event("lineality" if lin else "pointed")
+    assert moved.full_dim
+    assert moved.normals == tuple(sorted(map(_primitive, (
+        oracles.apply_matrix(g, f) for f in c.normals))))
+    assert len(moved.lineality) == len(lin) == _rank(lin)
+    assert _rank(list(moved.lineality) + lin) == len(lin)
+    if not lin:
+        assert moved.rays == tuple(sorted(rays))
+    assert len(moved.rays) == len(rays)
+    for r in rays:  # each image ray lies in the moved cone and is extreme there
+        tight = [f for f in moved.normals if oracles.pairing(lat.gram, r, f) == 0]
+        assert all(oracles.pairing(lat.gram, r, f) >= 0 for f in moved.normals)
+        assert _rank(tight) == n - len(lin) - 1
 
 
 def _assert_carried_state(dd):

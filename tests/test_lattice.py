@@ -127,6 +127,18 @@ def test_reflection_rejects_non_root():
         reflection_matrix(lat, (1, 0))  # norm 0
 
 
+def test_random_lattice_draws_are_capped(monkeypatch):
+    """When every ample class is rejected, the draw fails instead of looping."""
+    import conftest
+
+    def reject(gram, ample):
+        raise AmpleOnWall("rejected")
+
+    monkeypatch.setattr(conftest, "validate_problem", reject)
+    with pytest.raises(AssertionError, match="every ample class was rejected"):
+        random_even_hyperbolic(random.Random(0), lattices=5)
+
+
 def test_reflection_is_involution_and_isometry():
     """Randomized: s_d fixes norms, negates d, and squares to the identity."""
     rng = random.Random(23)

@@ -24,10 +24,8 @@ from k3cone import (
     ZeroVector,
     build_group,
     cone_from_inequalities,
-    contains,
     elliptic_orbits,
     genus_orbits,
-    interiors_disjoint,
     nef_test,
     nef_walls,
     orbit_of_ample,
@@ -35,7 +33,6 @@ from k3cone import (
     reduce_to_domain,
     replace,
     sterk_domain,
-    transform_cone,
     verify_fundamental,
 )
 from k3cone.sterk import _reducer, group_words
@@ -173,7 +170,7 @@ def test_reduce_reaches_domain_where_no_generator_lowers(name, x):
     # a point no generator lowers; the inverse of a cut's orbit element does
     lat, ample, grp, nef, dom = _setup(name)
     end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
-    assert contains(lat, dom.cone, end)
+    assert all(O.pairing(lat.gram, end, n) >= 0 for n in dom.cone.normals)
     assert _replay(lat.gram, grp.matrices(), x, reflections, word) == end
 
 
@@ -275,7 +272,7 @@ def test_reduce_lands_inside(setups):
             if lat.norm(x) < 0 or lat.pairing(ample, x) <= 0:
                 continue
             end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
-            assert contains(lat, dom.cone, end)
+            assert all(O.pairing(lat.gram, end, n) >= 0 for n in dom.cone.normals)
             done += 1
 
 
@@ -326,7 +323,7 @@ def test_scattered_samples_reduce_into_the_domain(setups, name, seed):
     basis = nef.rays or (ample,) + dom.rays
     for x in O.scattered_samples(basis, grp.gens, 200, 3, seed):
         end, reflections, word = reduce_to_domain(lat, ample, grp, dom, x)
-        assert contains(lat, dom.cone, end), x
+        assert all(O.pairing(lat.gram, end, n) >= 0 for n in dom.cone.normals), x
         assert _replay(lat.gram, grp.gens, x, reflections, word) == end
 
 
@@ -366,6 +363,26 @@ def test_coverage_reads_the_lineality_of_the_stopping_cone(setups):
     assert cert.coverage_failures == ()
 
 
+def test_coverage_ok_false_with_no_failures_leaves_coverage_undecided(setups):
+    """The coverage test is sufficient, not necessary.  With the swap alone
+    on L_R the stopping cone is the whole plane, which the half-plane
+    x . H >= 0 does not contain, so coverage reads False; but the plane's
+    part outside that half lies outside the positive cone, so there is no
+    failure, and positive classes do reduce into the half-plane."""
+    lat, ample, _, nef, _ = setups["R"]
+    swap_only = build_group(lat, ample, [SWAP], nef)
+    half = cone_from_inequalities(lat, [(1, 1)])
+    fake = SterkDomain(cone=half, cuts=(), orbit_bound=72, orbit_size=1, saturated=True)
+    cert = verify_fundamental(lat, ample, swap_only, fake, nef, samples=0, word_length=1)
+    assert not cert.coverage_ok
+    assert cert.coverage_failures == ()
+    # (7, -1) and (-1, 7) have norm 2 and pair 54 with H, so their cone is positive
+    for x in O.scattered_samples(((7, -1), (-1, 7)), swap_only.gens, 100, 3, 0):
+        assert O.norm(lat.gram, x) > 0 and O.pairing(lat.gram, ample, x) > 0
+        end, _, _ = reduce_to_domain(lat, ample, swap_only, fake, x)
+        assert all(O.pairing(lat.gram, end, n) >= 0 for n in half.normals), x
+
+
 @pytest.mark.parametrize(
     "name, ample",
     [("L_R", (1, 1))] + [("diag(2,-6)", ample) for ample in ((1, 0), (2, 1), (3, 1), (4, 1))],
@@ -388,19 +405,12 @@ def test_coverage_on_a_chamber_that_is_not_certified(setups, name, ample):
         assert cert.ok
 
 
-def test_overlapping_domain_fails_tiling(setups, monkeypatch):
+def test_overlapping_domain_fails_tiling(setups):
     latP, ampleP, grpP, nefP, domP = setups["P"]
     # widen the true domain past its cut: the gamma_P translate now overlaps
     wide = cone_from_inequalities(latP, [(0, -1), (5, 8)])
     assert wide.rays == ((1, 0), (4, 5))
     fake = SterkDomain(cone=wide, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
-    decided = []
-
-    def recorded(lat, a, b):
-        decided.append((b.rays, interiors_disjoint(lat, a, b)))
-        return decided[-1][1]
-
-    monkeypatch.setattr("k3cone.sterk.interiors_disjoint", recorded)
     cert = verify_fundamental(latP, ampleP, grpP, fake, nefP, samples=40, word_length=2, seed=1)
     assert not cert.tiling_ok
     assert (0,) in cert.tiling_overlaps
@@ -408,8 +418,12 @@ def test_overlapping_domain_fails_tiling(setups, monkeypatch):
     # coverage still passes: the true domain sits inside the widened cone
     assert cert.coverage_ok
     # the ray (4, 5) = gamma_P(H) pairs -8 with gamma_P(H) - H, so the cut does
-    # not settle the word; the double description decides it and finds the overlap
-    assert (transform_cone(latP, wide, GAMMA_P).rays, False) in decided
+    # not settle the word; the facets and their images cut out a
+    # full-dimensional cone, which the double description finds
+    cut = tuple(a - b for a, b in zip(O.apply_matrix(GAMMA_P, ampleP), ampleP))
+    assert O.pairing(GRAM_P, (4, 5), cut) == -8
+    translate = cone_from_inequalities(latP, [O.apply_matrix(GAMMA_P, n) for n in wide.normals])
+    assert O.meet_dimension(latP, wide, translate) == 2
 
 
 @pytest.mark.parametrize(
@@ -420,8 +434,8 @@ def test_overlapping_domain_fails_tiling(setups, monkeypatch):
 def test_domain_that_is_not_full_dimensional_raises(setups, normals, rays):
     """The half-line through (1, 0) lies on the near side of the cut of
     gamma_P(H) = (4, 5), and its image through (3, 4) on the far side; tiles
-    must still be full-dimensional, whether the cut or the double
-    description would decide the word."""
+    must still be full-dimensional, so a domain that is not raises before
+    the rays or the facets decide any word."""
     latP, ampleP, grpP, nefP, _ = setups["P"]
     cone = cone_from_inequalities(latP, normals)
     assert cone.rays == rays
@@ -434,13 +448,13 @@ def test_domain_that_is_not_full_dimensional_raises(setups, normals, rays):
 def test_a_domain_with_lineality_is_matched_by_its_facets(setups):
     """The half-plane x . H >= 0 on L_R has the lineality (1, -1), so its
     ray representative is not canonical: the swap maps it onto itself with
-    the representative (0, 1) in place of (1, 0).  That translate is a
-    stabilizer, not an overlap."""
+    the representative (0, 1) in place of (1, 0).  Its facet is fixed, so
+    that translate is a stabilizer, not an overlap."""
     lat, ample, grp, nef, _ = setups["R"]
     half = cone_from_inequalities(lat, [(1, 1)])
     assert (half.rays, half.lineality, half.full_dim) == (((1, 0),), ((1, -1),), True)
-    swapped = transform_cone(lat, half, SWAP)
-    assert swapped.rays == ((0, 1),) and swapped.normals == half.normals
+    assert O.apply_matrix(SWAP, (1, 0)) == (0, 1)
+    assert [O.apply_matrix(SWAP, n) for n in half.normals] == [(1, 1)]
     fake = SterkDomain(cone=half, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
     cert = verify_fundamental(lat, ample, grp, fake, nef, samples=0, word_length=1)
     assert grp.gens[1] == SWAP
@@ -456,7 +470,9 @@ def test_a_word_that_fixes_H_has_no_separating_cut(setups):
     lat, ample, grp, nef, _ = setups["R"]
     wedge = cone_from_inequalities(lat, [(0, 1), (-2, 7)])
     assert wedge.rays == ((0, 1), (2, -7)) and wedge.pointed and wedge.full_dim
-    assert not interiors_disjoint(lat, wedge, transform_cone(lat, wedge, SWAP))
+    translate = cone_from_inequalities(lat, [O.apply_matrix(SWAP, n) for n in wedge.normals])
+    assert translate.rays == ((-7, 2), (1, 0))
+    assert O.meet_dimension(lat, wedge, translate) == 2
     fake = SterkDomain(cone=wedge, cuts=(), orbit_bound=56, orbit_size=2, saturated=True)
     cert = verify_fundamental(lat, ample, grp, fake, nef, samples=0, word_length=1)
     assert grp.gens[1] == SWAP
@@ -469,20 +485,20 @@ def test_a_word_that_fixes_H_has_no_separating_cut(setups):
 def test_the_separating_cut_decides_every_translate(setups, source, name):
     """For each word g of length <= 4 that is not a stabilizer, the cut of
     h = gH != H has the domain D on its near side and gD on its far side, so
-    D and gD share no interior point; the double description agrees."""
+    D and gD share no interior point; the meet of their facets agrees."""
     lat, ample, grp, nef, dom = _setup(name) if source == "rank2" else setups[name]
     cone = dom.cone
     assert cone.pointed and cone.full_dim
     for g, word in group_words(grp, 4):
-        translate = transform_cone(lat, cone, g)
-        if translate.rays == cone.rays and translate.lineality == cone.lineality:
+        translate = cone_from_inequalities(lat, [O.apply_matrix(g, n) for n in cone.normals])
+        if translate.normals == cone.normals:
             continue
         h = O.apply_matrix(g, ample)
         assert h != tuple(ample), word
         cut = tuple(a - b for a, b in zip(h, ample))
         assert all(O.pairing(lat.gram, r, cut) >= 0 for r in cone.rays), word
         assert all(O.pairing(lat.gram, r, cut) <= 0 for r in translate.rays), word
-        assert interiors_disjoint(lat, cone, translate), word
+        assert O.meet_dimension(lat, cone, translate) < lat.rank, word
 
 
 def test_domain_ray_outside_the_positive_cone_is_not_nef(setups):
