@@ -27,8 +27,6 @@ from .errors import (
     GeneratorRejected,
     GeometryError,
     NonPositiveAmple,
-    NotAnIsometry,
-    NotARoot,
     NotUnimodular,
     OddLattice,
     OppositeCone,
@@ -47,7 +45,7 @@ from .groups import (
     preserves_K,
     verify_generator,
 )
-from .lattice import Isometry, Lattice, primitive_ray, reflection_matrix, replace
+from .lattice import Lattice, primitive_ray, replace
 from .orbits import (
     OrbitEntry,
     OrbitTable,
@@ -85,12 +83,9 @@ __all__ = [
     "GeneratorRejected",
     "GeometryError",
     "GroupGenerators",
-    "Isometry",
     "Lattice",
     "NefDescription",
     "NonPositiveAmple",
-    "NotARoot",
-    "NotAnIsometry",
     "NotUnimodular",
     "OddLattice",
     "OppositeCone",
@@ -127,7 +122,6 @@ __all__ = [
     "primitive_ray",
     "rational_isotropic_rays",
     "reduce_to_domain",
-    "reflection_matrix",
     "replace",
     "report_schema",
     "roots_up_to_degree",

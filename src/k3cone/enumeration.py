@@ -58,7 +58,7 @@ class _Slice:
     """
 
     def __init__(self, lat: Lattice, ample: Vec):
-        self.form = lat.gram_vec(ample)  # degree(x) = form . x
+        self.form = lat._dual(ample)  # degree(x) = form . x
         self.content, cols = linalg.split_linear_form(self.form)
         if self.content == 0:
             raise ZeroVector("the degree form vanishes: the ample class is zero")
@@ -159,17 +159,12 @@ def _slice_for(lat: Lattice, ample: Vec) -> _Slice:
     return _Slice(lat, ample)
 
 
-def classes_up_to_degree(
-    lat: Lattice, ample, norm: int, bound: int, primitive_only: bool = False
-) -> tuple[Vec, ...]:
+def classes_up_to_degree(lat: Lattice, ample, norm: int, bound: int) -> tuple[Vec, ...]:
     """All x with x.x == norm and 0 < x.H <= bound, lex-sorted."""
     if bound < 0:
         raise UnboundedQuery(f"degree bound {bound} is negative")
     ample = as_vector(ample, lat.rank, "ample class")
-    found = _slice_for(lat, ample).stream(norm, bound)
-    if primitive_only:
-        found = [v for v in found if gcd(*v) == 1]
-    return tuple(sorted(found))
+    return tuple(sorted(_slice_for(lat, ample).stream(norm, bound)))
 
 
 def roots_up_to_degree(lat: Lattice, ample, bound: int) -> tuple[Vec, ...]:
@@ -179,7 +174,7 @@ def roots_up_to_degree(lat: Lattice, ample, bound: int) -> tuple[Vec, ...]:
 
 def isotropics_up_to_degree(lat: Lattice, ample, bound: int) -> tuple[Vec, ...]:
     """Primitive isotropic classes with 0 < e.H <= bound."""
-    return classes_up_to_degree(lat, ample, 0, bound, primitive_only=True)
+    return tuple(v for v in classes_up_to_degree(lat, ample, 0, bound) if gcd(*v) == 1)
 
 
 def check_positive_closure(lat: Lattice, ample, x) -> Vec:

@@ -40,14 +40,6 @@ class AmpleOnWall(GeometryError):
         super().__init__(f"ample class lies on the wall of root {self.root}")
 
 
-class NotARoot(GeometryError):
-    """Reflection requested in a vector of self-pairing != -2."""
-
-
-class NotAnIsometry(GeometryError):
-    """An integer matrix fails to preserve the pairing."""
-
-
 class NotUnimodular(GeometryError):
     """An integer matrix has no integer inverse."""
 

@@ -3,9 +3,9 @@
 Generators are integer matrices that preserve the pairing, keep the ample
 component, and map the ample chamber into itself.  ``build_group`` closes
 them under inversion and records each inverse's index, so a generator word
-inverts index by index.  A verified group holds plain integer matrices:
-``verify_generator`` validates each input once, and is the only place that
-builds an ``Isometry``; downstream code applies the matrices unchecked.
+inverts index by index.  A group element is a plain integer matrix acting on
+column vectors: ``verify_generator`` validates each input matrix once, and
+downstream code applies the verified matrices unchecked.
 
 ``word_search`` is the one breadth-first search over generator words: the
 ample orbit, the tiling translates and the orbit-merge balls all use it.
@@ -24,14 +24,8 @@ membership are decided by one rank computation over F_p.
 from __future__ import annotations
 
 from . import linalg
-from .errors import (
-    BadPrime,
-    DegenerateBasis,
-    DimensionMismatch,
-    GeneratorRejected,
-    NotAnIsometry,
-)
-from .lattice import Isometry, Lattice, Mat, Record, Vec, _as_int, as_vector
+from .errors import BadPrime, DegenerateBasis, DimensionMismatch, GeneratorRejected
+from .lattice import Lattice, Mat, Record, Vec, _as_int, as_vector
 from .weyl import NefDescription, nef_test
 
 
@@ -57,19 +51,27 @@ class GeneratorReport(Record):
 def verify_generator(
     lat: Lattice, ample, matrix, nef: NefDescription | None = None
 ) -> GeneratorReport:
-    """Check a candidate generator; reports, never raises."""
+    """Check a candidate generator; reports, never raises.
+
+    A matrix that is not a rank x rank integer matrix with g^T G g == G
+    fails every check.
+    """
     ample = as_vector(ample, lat.rank, "ample class")
     try:
-        g = Isometry(lat, tuple(tuple(row) for row in matrix))
-    except (NotAnIsometry, DimensionMismatch):
+        g = tuple(as_vector(row, lat.rank, "generator row") for row in matrix)
+    except DimensionMismatch:
         return GeneratorReport(False, False, False, None)
-    image = g.apply(ample)
+    if len(g) != lat.rank or linalg.mat_mul(
+        linalg.mat_mul(linalg.transpose(g), lat.gram), g
+    ) != lat.gram:
+        return GeneratorReport(False, False, False, None)
+    image = linalg.mat_vec(g, ample)
     if lat.pairing(image, ample) <= 0:
         return GeneratorReport(True, False, False, None)
     chamber_fixed = nef_test(lat, ample, image)
     walls_preserved = None
     if nef is not None and nef.complete:
-        images = {tuple(g.apply(w)) for w in nef.walls}
+        images = {linalg.mat_vec(g, w) for w in nef.walls}
         walls_preserved = images == set(nef.walls)
     return GeneratorReport(True, True, chamber_fixed, walls_preserved)
 

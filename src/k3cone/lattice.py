@@ -1,11 +1,11 @@
-"""Hyperbolic lattices and their isometries.
+"""Hyperbolic lattices, class vectors and the package's value records.
 
 Conventions used across the whole package:
 
 * class vectors are integer coordinate tuples of length ``rank``;
 * the pairing is ``x . y = x^T G y`` for the Gram matrix ``G``;
-* matrices act on column vectors, so ``(g @ h)(x) = g(h(x))`` -- composition
-  applies the right factor first;
+* an isometry is a plain integer matrix acting on column vectors, so the
+  product ``g h`` (``linalg.mat_mul(g, h)``) applies ``h`` first;
 * ``degree`` always means pairing against the distinguished ample class.
 
 A lattice here is always even (even diagonal) and hyperbolic: exactly one
@@ -24,8 +24,6 @@ from . import linalg
 from .errors import (
     Degenerate,
     DimensionMismatch,
-    NotAnIsometry,
-    NotARoot,
     OddLattice,
     WrongSignature,
     ZeroVector,
@@ -154,10 +152,6 @@ class Lattice(Record):
     def norm(self, x) -> int:
         return self.pairing(x, x)
 
-    def gram_vec(self, x) -> Vec:
-        """G x -- the euclidean normal of the pairing hyperplane x-perp."""
-        return self._dual(as_vector(x, self.rank))
-
 
 def primitive_ray(x) -> Vec:
     """Divide out the content of x.  Never flips sign; rejects zero."""
@@ -165,54 +159,3 @@ def primitive_ray(x) -> Vec:
     if g == 0:
         raise ZeroVector("the zero vector spans no ray")
     return x if g == 1 and type(x) is tuple else tuple(int(c) // g for c in x)
-
-
-def reflection_matrix(lat: Lattice, delta) -> Mat:
-    """Matrix of s_delta acting on column vectors."""
-    delta = as_vector(delta, lat.rank, "root")
-    if lat.norm(delta) != -2:
-        raise NotARoot(f"{delta} has self-pairing {lat.norm(delta)}, expected -2")
-    gd = lat.gram_vec(delta)
-    n = lat.rank
-    return tuple(
-        tuple((1 if i == j else 0) + delta[i] * gd[j] for j in range(n))
-        for i in range(n)
-    )
-
-
-class Isometry(Record):
-    """An integer matrix preserving the pairing (hence of determinant +-1)."""
-
-    lattice: Lattice
-    matrix: Mat
-
-    def __post_init__(self):
-        n = self.lattice.rank
-        rows = tuple(
-            tuple(_as_int(x, "isometry entry") for x in row) for row in self.matrix
-        )
-        object.__setattr__(self, "matrix", rows)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise DimensionMismatch(f"isometry must be {n}x{n}")
-        mt = linalg.transpose(rows)
-        if linalg.mat_mul(linalg.mat_mul(mt, self.lattice.gram), rows) != self.lattice.gram:
-            raise NotAnIsometry(f"{rows} does not preserve the pairing")
-
-    def apply(self, x) -> Vec:
-        x = as_vector(x, self.lattice.rank)
-        return linalg.mat_vec(self.matrix, x)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self o other: apply ``other`` first."""
-        if other.lattice != self.lattice:
-            raise DimensionMismatch("isometries live on different lattices")
-        return Isometry(self.lattice, linalg.mat_mul(self.matrix, other.matrix))
-
-    __matmul__ = compose
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, linalg.invert_unimodular(self.matrix))
-
-    def is_identity(self) -> bool:
-        return self.matrix == linalg.identity(self.lattice.rank)
-

@@ -25,10 +25,11 @@ coverage, not by samples: a reduction stops in the cone K of the chamber
 rows and the rows m^-1(H) - H of the moves m, and one double description
 decides whether K lies in the domain D.  Each translate gD of a word ball
 is decided exactly.  A pointed D's rays and their images generate D and gD,
-so they decide first: for h = gH != H, a domain of Dirichlet type lies in
-{x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0}.  D's facets decide the
-rest, which only a hand-built domain leaves: g carries them onto gD's, and
-one double description of both sets decides whether D and gD overlap.
+so they settle most words first: for h = gH != H, a domain of Dirichlet type
+lies in {x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0}.  D's facets
+decide the rest, the stabilizers and what only a hand-built domain leaves:
+g carries them onto gD's, and one double description of both sets decides
+whether D and gD overlap.
 """
 
 from __future__ import annotations
@@ -245,15 +246,15 @@ def group_words(group: GroupGenerators, length: int):
     return sorted(elements.items())
 
 
-def _cut_separates(lat: Lattice, ample: Vec, g, rays, images) -> bool:
-    """Whether the cut of h = gH separates a cone's rays from their images:
+def _cut_separates(lat: Lattice, ample: Vec, g, rays) -> bool:
+    """Whether the cut of h = gH separates a cone's rays from their g-images:
     h != H, the rays pair >= 0 with h - H and the images pair <= 0."""
     h = linalg.mat_vec(g, ample)
     if h == ample:
         return False
     cut = lat._dual(tuple(a - b for a, b in zip(h, ample)))
     return all(sum(map(mul, cut, r)) >= 0 for r in rays) and all(
-        sum(map(mul, cut, y)) <= 0 for y in images
+        sum(map(mul, cut, linalg.mat_vec(g, r))) <= 0 for r in rays
     )
 
 
@@ -281,13 +282,13 @@ def verify_fundamental(
     checks every distinct group element spelled by a word of at most
     ``word_length`` generators: its translate of the domain must either
     coincide with the domain (a stabilizer symmetry, e.g. a generator fixing
-    the ample class) or meet it in no interior point.  The rays of a pointed
-    domain decide first and its facets decide the rest, as the module
-    docstring says.  ``samples`` and ``seed`` are only echoed.  A negative
-    ``samples`` or ``word_length`` raises GeometryError, and so does a
-    domain that is not full-dimensional, before any word, when the ball has
-    one.  ``nef`` decides ``rays_nef``, as in ``sterk_domain``, so it must
-    be the chamber of (lat, ample).
+    the ample class) or meet it in no interior point.  A cut between a
+    pointed domain's rays and their images settles a word first and the
+    facets decide the rest, as the module docstring says.  ``samples`` and
+    ``seed`` are only echoed.  A negative ``samples`` or ``word_length``
+    raises GeometryError, and so does a domain that is not full-dimensional,
+    before any word, when the ball has one.  ``nef`` decides ``rays_nef``,
+    as in ``sterk_domain``, so it must be the chamber of (lat, ample).
     """
     ample = as_vector(ample, lat.rank, "ample class")
     if samples < 0:
@@ -321,13 +322,10 @@ def verify_fundamental(
     overlaps = []
     stabilizers = []
     for g, word in words:
-        if cone.pointed:  # the rays generate the cone, so they decide the word first
-            images = [linalg.mat_vec(g, r) for r in cone.rays]
-            if tuple(sorted(map(primitive_ray, images))) == cone.rays:
-                stabilizers.append(word)
-                continue
-            if _cut_separates(lat, ample, g, cone.rays, images):
-                continue
+        # the rays of a pointed cone generate it, so a cut between them and
+        # their images settles the word first; it never settles a stabilizer
+        if cone.pointed and _cut_separates(lat, ample, g, cone.rays):
+            continue
         # an isometry carries D's facets onto gD's, and the facets of a
         # full-dimensional cone are canonical
         moved = tuple(sorted(primitive_ray(linalg.mat_vec(g, n)) for n in cone.normals))

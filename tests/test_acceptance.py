@@ -13,7 +13,6 @@ import jsonschema
 
 import oracles as O
 from k3cone import (
-    Isometry,
     Lattice,
     build_group,
     elliptic_orbits,
@@ -25,7 +24,6 @@ from k3cone import (
     nodal_orbits,
     parse_problem,
     preserves_K,
-    reflection_matrix,
     report_schema,
     roots_up_to_degree,
     serialize_problem,
@@ -34,6 +32,7 @@ from k3cone import (
     verify_fundamental,
     walk_to_nef,
 )
+from k3cone import linalg
 from k3cone.cli import main as cli_main
 
 from conftest import (
@@ -72,9 +71,11 @@ def test_criterion_1_algebra_laws(capsys):
     for name, gram, ample in FIXTURES:
         lat = Lattice(gram)
         roots = list(roots_up_to_degree(lat, ample, 4 * lat.norm(ample)))
-        isos = [Isometry(lat, reflection_matrix(lat, d)) for d in roots[:4]]
-        for m in ([GAMMA_P] if name == "L_P" else [G_R, SWAP] if name == "L_R" else []):
-            isos.append(Isometry(lat, m))
+        # a reflection's columns are the images of the basis vectors
+        basis = ((1, 0), (0, 1))
+        mats = [tuple(zip(*[O.reflect_word(gram, (d,), e) for e in basis])) for d in roots[:4]]
+        mats += [GAMMA_P] if name == "L_P" else [G_R, SWAP] if name == "L_R" else []
+        inverses = [linalg.invert_unimodular(g) for g in mats]
         checks = 0
         while checks < 1000:
             x = tuple(rng.randint(-20, 20) for _ in range(2))
@@ -85,12 +86,15 @@ def test_criterion_1_algebra_laws(capsys):
                 ssx = tuple(sx[i] + lat.pairing(sx, d) * d[i] for i in range(2))
                 ok = ok and ssx == x
                 ok = ok and lat.pairing(sx, sx) == lat.pairing(x, x)
-            # isometry laws: composition associates with application; inverses cancel
-            for g in isos:
-                ok = ok and lat.pairing(g.apply(x), g.apply(y)) == lat.pairing(x, y)
-                ok = ok and g.inverse().apply(g.apply(x)) == x
-                for h in isos[:2]:
-                    ok = ok and g.compose(h).apply(x) == g.apply(h.apply(x))
+            # isometry laws on plain matrices: the product g h applies h
+            # first, and inverses cancel
+            for g, g_inv in zip(mats, inverses):
+                gx = linalg.mat_vec(g, x)
+                ok = ok and lat.pairing(gx, linalg.mat_vec(g, y)) == lat.pairing(x, y)
+                ok = ok and linalg.mat_vec(g_inv, gx) == x
+                for h in mats[:2]:
+                    gh_x = linalg.mat_vec(linalg.mat_mul(g, h), x)
+                    ok = ok and gh_x == linalg.mat_vec(g, linalg.mat_vec(h, x))
             checks += 1
         if not ok:
             break
@@ -265,11 +269,10 @@ def test_criterion_8_supersingular_filter(capsys, setups):
     datum = SupersingularDatum(3, ((1, 1),))
     kept = filter_preserving_K(lat, grp, datum)
     ok = ok and len(kept) == 3  # documented L_R / p = 3 example
-    isos = [Isometry(lat, m) for m in kept]
-    for g in isos:
-        ok = ok and preserves_K(lat, datum, g.inverse().matrix)
-        for h in isos:
-            ok = ok and preserves_K(lat, datum, g.compose(h).matrix)
+    for g in kept:
+        ok = ok and preserves_K(lat, datum, linalg.invert_unimodular(g))
+        for h in kept:
+            ok = ok and preserves_K(lat, datum, linalg.mat_mul(g, h))
     ok = ok and filter_preserving_K(lat, grp, SupersingularDatum(3, ((1, 0),))) == ()
     announce(capsys, 8, "supersingular filter laws and documented examples", ok)
 

@@ -71,9 +71,10 @@ def test_roots_desk_values():
 def test_classes_desk_values():
     latP = Lattice(GRAM_P)
     assert classes_up_to_degree(latP, AMPLE_P, 2, 56) == ((1, -1), (1, 1), (5, -7), (5, 7))
-    # imprimitive vectors are kept unless filtered out
-    assert classes_up_to_degree(latP, AMPLE_P, 8, 56) == ((2, -2), (2, 2), (10, 14))
-    assert classes_up_to_degree(latP, AMPLE_P, 8, 56, primitive_only=True) == ()
+    # imprimitive vectors are kept: no norm-8 class up to degree 56 is primitive
+    norm8 = classes_up_to_degree(latP, AMPLE_P, 8, 56)
+    assert norm8 == ((2, -2), (2, 2), (10, 14))
+    assert not any(math.gcd(*v) == 1 for v in norm8)
 
 
 def test_isotropics_desk_values():

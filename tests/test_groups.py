@@ -10,7 +10,7 @@ from k3cone import (
     DegenerateBasis,
     DimensionMismatch,
     GeneratorRejected,
-    Isometry,
+    GeneratorReport,
     Lattice,
     SupersingularDatum,
     build_group,
@@ -18,10 +18,10 @@ from k3cone import (
     nef_walls,
     preserves_K,
     reduce_to_domain,
-    reflection_matrix,
     verify_generator,
     walk_to_nef,
 )
+from k3cone import linalg
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
 
@@ -119,7 +119,10 @@ def test_chamber_test_alone_decides_words_in_walls_and_swap():
     nef = nef_walls(lat, ample)
     assert nef.complete
     swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    letters = [swap] + [reflection_matrix(lat, w) for w in nef.walls]
+    # a reflection's columns are the images of the basis vectors
+    basis = linalg.identity(4)
+    reflections = [tuple(zip(*[O.reflect_word(gram, (w,), e) for e in basis])) for w in nef.walls]
+    letters = [swap] + reflections
     words = set(letters)
     for _ in range(2):
         words |= {O.matrix_product(w, m) for w in words for m in letters}
@@ -152,14 +155,26 @@ def test_build_group_empty(latP):
     assert grp.matrices() == ()
 
 
-@pytest.mark.parametrize("bad", [((3.5, -2), (4, -3)), ((True, False), (False, True))])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((3.5, -2), (4, -3)),
+        ((True, False), (False, True)),
+        # wrong shapes: an extra row, an extra zero row, rows of length 3, a short row
+        ((1, 0), (0, 1), (5, 5)),
+        ((3, -2), (4, -3), (0, 0)),
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 0), (0,)),
+    ],
+)
 def test_build_group_rejects_non_integer_entries(latP, bad):
-    """A float or bool entry fails every check instead of being truncated."""
+    """A float or bool entry, or a matrix that is not rank x rank, fails
+    every check instead of being truncated or raising."""
+    assert verify_generator(latP, AMPLE_P, bad) == GeneratorReport(False, False, False, None)
     with pytest.raises(GeneratorRejected) as exc:
         build_group(latP, AMPLE_P, [GAMMA_P, bad])
     assert exc.value.index == 1
     assert exc.value.report == verify_generator(latP, AMPLE_P, bad)
-    assert not exc.value.report.preserves_form
 
 
 def test_supersingular_api_rejects_non_integer_entries(latR):
@@ -185,11 +200,11 @@ def test_orbit_descend_desk_values(setups):
 def test_project_already_nef_is_identity_word(latP):
     # A chamber-preserving isometry sends H into the ample chamber, so the
     # reflection walk from its image is empty and leaves the isometry as is.
-    g = Isometry(latP, GAMMA_P)
-    end, word = walk_to_nef(latP, AMPLE_P, g.apply(AMPLE_P))
+    image = O.apply_matrix(GAMMA_P, AMPLE_P)
+    end, word = walk_to_nef(latP, AMPLE_P, image)
     assert word == ()
-    assert end == g.apply(AMPLE_P)
-    columns = [O.reflect_word(GRAM_P, word, g.apply(e)) for e in ((1, 0), (0, 1))]
+    assert end == image
+    columns = [O.reflect_word(GRAM_P, word, O.apply_matrix(GAMMA_P, e)) for e in ((1, 0), (0, 1))]
     assert tuple(zip(*columns)) == GAMMA_P
 
 
@@ -251,4 +266,4 @@ def test_kept_elements_closed_under_inverse(latR):
     grp = build_group(latR, AMPLE_R, [G_R, SWAP])
     datum = SupersingularDatum(3, ((1, 1),))
     for m in filter_preserving_K(latR, grp, datum):
-        assert preserves_K(latR, datum, Isometry(latR, m).inverse().matrix)
+        assert preserves_K(latR, datum, linalg.invert_unimodular(m))

@@ -1,5 +1,5 @@
-"""Gram validation, pairing arithmetic, reflections, isometry algebra, and
-the frozen value records the package returns."""
+"""Gram validation, pairing arithmetic, exact inverses, and the frozen value
+records the package returns."""
 
 import inspect
 import random
@@ -12,17 +12,14 @@ from k3cone import (
     Bounds,
     Degenerate,
     DimensionMismatch,
-    Isometry,
     Lattice,
     NonPositiveAmple,
-    NotAnIsometry,
     NotUnimodular,
     OddLattice,
     AmpleOnWall,
     WrongSignature,
     ZeroVector,
     primitive_ray,
-    reflection_matrix,
     validate_problem,
 )
 
@@ -112,21 +109,6 @@ def test_validate_problem_rejects_ample_on_wall():
         validate_problem(GRAM_U, (1, 1))
 
 
-def test_reflection_matrix_desk_values():
-    lat = Lattice(GRAM_U)
-    assert reflection_matrix(lat, (-1, 1)) == ((0, 1), (1, 0))
-    lat_p = Lattice(GRAM_P)
-    assert reflection_matrix(lat_p, (2, 3)) == ((17, -12), (24, -17))
-
-
-def test_reflection_rejects_non_root():
-    lat = Lattice(GRAM_U)
-    from k3cone import NotARoot
-
-    with pytest.raises(NotARoot):
-        reflection_matrix(lat, (1, 0))  # norm 0
-
-
 def test_random_lattice_draws_are_capped(monkeypatch):
     """When every ample class is rejected, the draw fails instead of looping."""
     import conftest
@@ -137,44 +119,6 @@ def test_random_lattice_draws_are_capped(monkeypatch):
     monkeypatch.setattr(conftest, "validate_problem", reject)
     with pytest.raises(AssertionError, match="every ample class was rejected"):
         random_even_hyperbolic(random.Random(0), lattices=5)
-
-
-def test_reflection_is_involution_and_isometry():
-    """Randomized: s_d fixes norms, negates d, and squares to the identity."""
-    rng = random.Random(23)
-    for _ in range(20):
-        got = random_even_hyperbolic(rng)
-        if got is None:
-            continue
-        lat, ample = got
-        # hunt for a root in a small box
-        from k3cone import roots_up_to_degree
-
-        roots = roots_up_to_degree(lat, ample, 3 * lat.norm(ample))
-        for d in roots[:3]:
-            m = reflection_matrix(lat, d)
-            iso = Isometry(lat, m)
-            assert iso.apply(d) == tuple(-c for c in d)
-            assert iso.compose(iso).is_identity()
-            for _ in range(10):
-                x = tuple(rng.randint(-8, 8) for _ in range(lat.rank))
-                assert lat.norm(iso.apply(x)) == lat.norm(x)
-
-
-def test_isometry_rejects_bad_matrix():
-    lat = Lattice(GRAM_U)
-    with pytest.raises(NotAnIsometry):
-        Isometry(lat, ((1, 1), (0, 1)))
-
-
-def test_isometry_compose_inverse():
-    lat = Lattice(GRAM_P)
-    g = Isometry(lat, ((3, -2), (4, -3)))
-    assert g.compose(g.inverse()).is_identity()
-    # matrices act on column vectors; compose applies the right factor first
-    r = Isometry(lat, ((17, -12), (24, -17)))
-    x = (8, 11)
-    assert g.compose(r).apply(x) == g.apply(r.apply(x))
 
 
 def test_exact_inverse_and_unimodular_guard():
@@ -255,13 +199,10 @@ def test_replace_builds_a_new_validated_record():
 def test_record_repr_is_the_field_listing():
     assert repr(Bounds()) == "Bounds(ceiling=12, enumeration=None, samples=200, word_length=3, seed=0)"
     assert repr(Lattice(GRAM_P)) == "Lattice(gram=((4, 0), (0, -2)))"
-    assert repr(Isometry(Lattice(GRAM_U), ((0, 1), (1, 0)))) == (
-        "Isometry(lattice=Lattice(gram=((0, 1), (1, 0))), matrix=((0, 1), (1, 0)))"
-    )
 
 
 RECORDS = (
-    "RationalCone", "Lattice", "Isometry", "GeneratorReport", "GroupGenerators",
+    "RationalCone", "Lattice", "GeneratorReport", "GroupGenerators",
     "SupersingularDatum", "Bounds", "NefDescription", "OrbitCut", "SterkDomain",
     "FundamentalCertificate", "OrbitEntry", "OrbitTable", "Problem",
 )

@@ -449,7 +449,9 @@ def test_a_domain_with_lineality_is_matched_by_its_facets(setups):
     """The half-plane x . H >= 0 on L_R has the lineality (1, -1), so its
     ray representative is not canonical: the swap maps it onto itself with
     the representative (0, 1) in place of (1, 0).  Its facet is fixed, so
-    that translate is a stabilizer, not an overlap."""
+    that translate is a stabilizer, not an overlap.  The half-plane is not
+    pointed, so its ray settles no word: every other word moves the facet,
+    and two half-planes meet in dimension 2."""
     lat, ample, grp, nef, _ = setups["R"]
     half = cone_from_inequalities(lat, [(1, 1)])
     assert (half.rays, half.lineality, half.full_dim) == (((1, 0),), ((1, -1),), True)
@@ -460,6 +462,9 @@ def test_a_domain_with_lineality_is_matched_by_its_facets(setups):
     assert grp.gens[1] == SWAP
     assert (1,) in cert.stabilizer_words
     assert (1,) not in cert.tiling_overlaps
+    cert = verify_fundamental(lat, ample, grp, fake, nef, samples=0, word_length=2)
+    assert cert.tiling_overlaps == ((0, 0), (1, 0), (0,), (0, 1), (2,), (2, 2))
+    assert cert.stabilizer_words == ((1,),)
 
 
 def test_a_word_that_fixes_H_has_no_separating_cut(setups):
