@@ -12,7 +12,7 @@ time, and ``cone`` finishes it.  ``cone_from_inequalities`` validates and
 deduplicates its normals, adds them, and finishes.  ``nef_walls`` keeps one
 state across its doublings and adds only the walls each doubling accepts.
 Ray duals ``G r`` are carried across cuts: a cut multiplies by G only its
-row and its new rays.
+new rays, and its row while the cone has lineality, for the pivot search.
 
 A row that vanishes on the lineality and on which no ray is negative is
 implied by the cone so far, and stays implied, because adding rows only
@@ -24,10 +24,13 @@ They suffice because every kept row vanishes on the current lineality L: a
 row that needs no pivot already vanishes on L, and a pivot step shrinks L to
 the new row's hyperplane.  So the rows factor through the pointed quotient
 C/L, the rays stand for its extreme rays, and the masks give its face
-lattice.  Three consequences:
+lattice.  Read row by row, the masks give each kept row its tight-ray set,
+a bit set over the rays, and these sets decide adjacency and facets.  Three
+consequences:
 
-* two rays are adjacent exactly when no third ray is tight on every row
-  they share (the combinatorial test);
+* two rays are adjacent exactly when they share at least rank - dim L - 2
+  rows and the tight-ray sets of the rows they share meet in those two rays
+  alone;
 * the facets are the rows whose tight-ray sets are maximal among the kept
   rows' sets; a half-space's single row is tight on no ray and is its facet;
 * the cone is full-dimensional exactly when no kept row is tight on every
@@ -93,7 +96,8 @@ class DoubleDescription:
         """One double-description step; False when the row is implied and dropped."""
         rays, duals, masks = self.rays, self.duals, self.masks
         bit = 1 << len(self.normals)
-        gn = self.lat._dual(n)  # the row's one Gram product
+        # only the pivot search reads G n, so a pointed cone never computes it
+        gn = self.lat._dual(n) if self.lineality else None
         ldots = [(l, sum(map(mul, gn, l))) for l in self.lineality]
         pivot, ap = next(((l, d) for l, d in ldots if d), (None, 0))
         if pivot is not None:
@@ -101,7 +105,7 @@ class DoubleDescription:
                 pivot, ap = tuple(-x for x in pivot), -ap
 
             def project(v, dot):  # onto the row's hyperplane, along the pivot
-                w = tuple(ap * x - dot * p for x, p in zip(v, pivot))
+                w = tuple([ap * x - dot * p for x, p in zip(v, pivot)])
                 return primitive_ray(w) if any(w) else None
 
             # earlier rows vanish on the pivot, so a projected ray keeps its
@@ -125,13 +129,24 @@ class DoubleDescription:
         kept = {rays[i]: (masks[i] | bit if d == 0 else masks[i], duals[i])
                 for i, d in enumerate(dots) if d >= 0}
         fresh = {}
+        need = self.lat.rank - len(self.lineality) - 2
+        tight = self._tight_sets()
+        everything = (1 << len(rays)) - 1
         for i in plus:
             for j in minus:
                 common = masks[i] & masks[j]
-                if not self._adjacent(i, j, common):
+                if common.bit_count() < need:
+                    continue
+                # adjacent: the rays tight on every row i and j share are i and j alone
+                pair, face, rows = 1 << i | 1 << j, everything, common
+                while rows and face != pair:
+                    low = rows & -rows
+                    face &= tight[low.bit_length() - 1]
+                    rows ^= low
+                if face != pair:
                     continue
                 comb = primitive_ray(
-                    tuple(dots[i] * y - dots[j] * x for x, y in zip(rays[i], rays[j]))
+                    tuple([dots[i] * y - dots[j] * x for x, y in zip(rays[i], rays[j])])
                 )
                 if comb not in kept:
                     fresh.setdefault(comb, common | bit)
@@ -144,14 +159,14 @@ class DoubleDescription:
         self.masks = [m for m, _ in kept.values()] + list(fresh.values())
         self.duals = [g for _, g in kept.values()] + [self.lat._dual(r) for r in fresh]
 
-    def _adjacent(self, i: int, j: int, common: int) -> bool:
-        """Whether rays i and j span a 2-face, given the rows tight on both."""
-        if common.bit_count() < self.lat.rank - len(self.lineality) - 2:
-            return False
-        # the 2-face of i and j has no third extreme ray
-        return not any(
-            m & common == common for k, m in enumerate(self.masks) if k != i and k != j
-        )
+    def _tight_sets(self) -> list[int]:
+        """For each kept row, the rays tight on it, as a bit set over ray indices."""
+        # every mask as bin(2**k | mask), k + 3 characters: "0b1", then the digits
+        # of rows k - 1 down to 0.  Joined from the last ray, row r's digits
+        # are every (k + 3)-th character, ray 0 last, and read in C
+        k = len(self.normals)
+        digits = "".join(map(bin, map((1 << k).__or__, reversed(self.masks))))
+        return [int(digits[k + 2 - row::k + 3] or "0", 2) for row in range(k)]
 
     def facets(self) -> tuple[Vec, ...]:
         """The kept normals tight on a full facet, sorted (full-dimensional cones).
@@ -159,10 +174,7 @@ class DoubleDescription:
         A row's tight rays span its face modulo the lineality, and every
         proper face lies in a facet, whose tight rays form a larger set.
         """
-        faces = [
-            sum(1 << i for i, m in enumerate(self.masks) if m >> k & 1)
-            for k in range(len(self.normals))
-        ]
+        faces = self._tight_sets()
         return tuple(sorted(
             n for n, f in zip(self.normals, faces)
             if not any(f & g == f and f != g for g in faces)

@@ -104,7 +104,7 @@ class _Slice:
         dr = k * k * self.quad - self.delta * norm
         if dr < 0:
             return ()
-        point = tuple(k * c for c in self.base)
+        point = tuple([k * c for c in self.base])
         m, diag, steps, columns = len(self.kernel), self.diag, self.steps, self.columns
         if m == 0:
             return (point,) if dr == 0 else ()
@@ -113,7 +113,7 @@ class _Slice:
         if m == 1:  # the one coordinate must use up the radius exactly
             e, mid0 = isqrt(rest // d0), mids[0]
             ts = [t for t in {(mid0 - e) // s, (mid0 + e) // s} if d0 * (s * t - mid0) ** 2 == rest]
-            return tuple(sorted(tuple(x + t * b for x, (b,) in zip(point, columns)) for t in ts))
+            return tuple(sorted(tuple([x + t * b for x, (b,) in zip(point, columns)]) for t in ts))
         coeffs, out = [0] * m, []
 
         def descend(i: int, mids: list, rest: int):
@@ -132,9 +132,9 @@ class _Slice:
                 for t0 in {(mid0 - e) // s, (mid0 + e) // s}:
                     if d0 * (s * t0 - mid0) ** 2 == r:
                         coeffs[0] = t0
-                        out.append(tuple(
+                        out.append(tuple([
                             x + sum(map(mul, coeffs, c)) for x, c in zip(point, columns)
-                        ))
+                        ]))
 
         descend(m - 1, mids, rest)
         return tuple(sorted(out))

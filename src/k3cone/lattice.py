@@ -101,7 +101,7 @@ def _as_int(x, what):
 
 def as_vector(v, rank: int, what: str = "vector") -> Vec:
     """Coerce to an integer tuple of the ambient rank."""
-    vec = tuple(_as_int(x, what) for x in v)
+    vec = tuple([_as_int(x, what) for x in v])
     if len(vec) != rank:
         raise DimensionMismatch(f"{what} has length {len(vec)}, expected {rank}")
     return vec
@@ -113,7 +113,7 @@ class Lattice(Record):
     gram: Mat
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_int(x, "gram entry") for x in row) for row in self.gram)
+        rows = tuple([tuple([_as_int(x, "gram entry") for x in row]) for row in self.gram])
         object.__setattr__(self, "gram", rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -158,4 +158,4 @@ def primitive_ray(x) -> Vec:
     g = gcd(*x)
     if g == 0:
         raise ZeroVector("the zero vector spans no ray")
-    return x if g == 1 and type(x) is tuple else tuple(int(c) // g for c in x)
+    return x if g == 1 and type(x) is tuple else tuple([int(c) // g for c in x])

@@ -18,20 +18,22 @@ Mat = tuple[tuple[int, ...], ...]
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def transpose(m):
     return tuple(zip(*m))
 
 
+# the kernels build their tuples from lists: a generator per entry or row
+# costs a frame, which here is most of the work
 def mat_vec(m, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -134,7 +136,7 @@ def ldl(sym):
                 a[r][i] += a[r][j]
             continue
         pivot, d = a[k], a[k][k]
-        rows.append(tuple(pivot[c] if c in active else 0 for c in range(n)))
+        rows.append(tuple([pivot[c] if c in active else 0 for c in range(n)]))
         active.remove(k)
         # only the remaining block is read again: it becomes d times the Schur complement
         for i in active:

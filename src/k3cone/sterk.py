@@ -276,7 +276,9 @@ def verify_fundamental(
     ``sterk_domain`` has only chamber rows and active cuts for facets, so K
     lies in it.  ``coverage_failures`` lists the rays of K outside the domain
     that lie in the closed positive cone and fail to reduce into it; on a
-    certified chamber each is its own endpoint.  The test is sufficient, not
+    certified chamber each is its own endpoint.  Only such a ray builds a
+    reducer, so only then does a ``domain.nef`` that is not the chamber of
+    (lat, ample) raise GeometryError.  The test is sufficient, not
     necessary: on L_R with only the swap, the half-plane x.H >= 0 reads
     False with no failures, yet positive classes reduce into it.  Tiling
     checks every distinct group element spelled by a word of at most
@@ -306,10 +308,11 @@ def verify_fundamental(
     normals = [lat._dual(n) for n in domain.cone.normals]
     outside = sorted(r for r in dd.rays if any(sum(map(mul, n, r)) < 0 for n in normals))
     coverage_ok = not (outside or any(sum(map(mul, n, l)) for l in dd.lineality for n in normals))
-    reduce = _reducer(lat, ample, group, domain)
+    positive = [r for r in outside if lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0]
     failures = []
-    for r in outside:
-        if lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0:
+    if positive:  # only these need a reducer
+        reduce = _reducer(lat, ample, group, domain)
+        for r in positive:
             try:
                 reduce(r)
             except CoverageFailure:

@@ -296,13 +296,14 @@ def nef_walls(lat: Lattice, ample, ceiling: int | None = None) -> NefDescription
     class orthogonal to a root raises AmpleOnWall.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    if lat.pairing(ample, ample) <= 0:
+    h2 = lat._pair(ample, ample)
+    if h2 <= 0:
         raise GeometryError("wall discovery needs an ample class of positive norm")
     check_off_walls(lat, ample)
     ceiling = Bounds.ceiling if ceiling is None else ceiling
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
-    first = ROOT_BOUND_FACTOR * lat.norm(ample)
+    first = ROOT_BOUND_FACTOR * h2
     dd, roots, walls = DoubleDescription(lat), [], []
     # certification depends on the cone alone, so it waits for a changed cone
     dirty = lat.rank == 2 and dd.add(rational_isotropic_rays(lat, ample)) > 0

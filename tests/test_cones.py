@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -149,8 +150,12 @@ def _rank(rows):
 @given(system=row_systems())
 def test_double_description_agrees_with_ranks(system):
     lat, rows = system
+    _assert_agrees_with_ranks(lat, rows, cone_from_inequalities(lat, rows))
+
+
+def _assert_agrees_with_ranks(lat, rows, c):
+    """The cone ``c`` of ``rows`` against the rank oracle and a box of points."""
     n = lat.rank
-    c = cone_from_inequalities(lat, rows)
     lin = list(c.lineality)
     event("lower-dimensional" if not c.full_dim else "lineality" if lin else "pointed")
     for r in c.rays:
@@ -171,9 +176,12 @@ def test_double_description_agrees_with_ranks(system):
         assert set(c.normals) == facets and len(c.normals) == len(facets)
     else:
         assert set(c.normals) <= primitive
+    # x . n is the dot product of x with G n, since G is symmetric
+    normals = [oracles.apply_matrix(lat.gram, f) for f in c.normals]
+    duals = [oracles.apply_matrix(lat.gram, row) for row in rows]
     for x in itertools.product((-1, 0, 1), repeat=n):
-        inside = all(oracles.pairing(lat.gram, x, n) >= 0 for n in c.normals)
-        assert inside == all(lat.pairing(x, row) >= 0 for row in rows)
+        inside = all(sum(map(mul, x, f)) >= 0 for f in normals)
+        assert inside == all(sum(map(mul, x, g)) >= 0 for g in duals)
 
 
 def _mirror(gram, v):
@@ -254,3 +262,44 @@ def test_double_description_carries_duals_and_masks_on_a_random_system():
             _assert_carried_state(dd)
     cone = dd.cone()
     assert cone.pointed and cone.full_dim and len(cone.rays) > 10
+
+
+def _ua1(k):
+    """The Gram matrix of U + A1^k, of rank k + 2."""
+    n = k + 2
+    return tuple(
+        tuple(1 if {i, j} == {0, 1} else -2 if i == j > 1 else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def ua1_row_systems(draw):
+    """U + A1^k at ranks 6..9: rows positive on one point, so that their cone
+    is full-dimensional with many rays, then up to two free rows."""
+    lat = Lattice(_ua1(draw(st.integers(4, 7))))
+    n = lat.rank
+    unit = (1,) + (0,) * (n - 1)
+    vectors = st.tuples(*[st.integers(-2, 2)] * n).map(lambda v: v if any(v) else unit)
+    point = draw(vectors)
+    rows = []
+    for v in draw(st.lists(vectors, min_size=n + 2, max_size=n + 6)):
+        side = lat.pairing(v, point)
+        if side:  # oriented to the point's side
+            rows.append(v if side > 0 else tuple(-x for x in v))
+    rows += draw(st.lists(vectors, max_size=2))
+    return lat, draw(st.permutations(rows))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(system=ua1_row_systems())
+def test_tight_ray_sets_agree_with_ranks_up_to_rank_nine(system):
+    """Adjacency and facets by tight-ray sets, on cones with many rays; the
+    carried state holds after every row."""
+    lat, rows = system
+    dd = DoubleDescription(lat)
+    for row in dict.fromkeys(map(_primitive, rows)):
+        dd.add([row])
+        _assert_carried_state(dd)
+    event(f"{len(dd.rays) // 20 * 20}+ rays")
+    _assert_agrees_with_ranks(lat, rows, dd.cone())

@@ -3,9 +3,12 @@
 The symmetric one (``ldl``): inertia against numpy, its minors against the
 Fraction reduction of the oracles, and the integer identity that rebuilds a
 definite form from its minors and pivot rows.  The row one: ``echelon`` and
-``scaled_inverse`` against the Fraction Gauss-Jordan of the oracles.
+``scaled_inverse`` against the Fraction Gauss-Jordan of the oracles.  The
+kernels that apply group elements: ``mat_mul``, ``mat_vec``, ``identity``
+and ``primitive_ray`` against the oracles' products, as tuples.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3cone import Lattice, classes_up_to_degree, linalg
+from k3cone.lattice import primitive_ray
 
 import oracles
 
@@ -132,3 +136,44 @@ def test_inverse_equals_the_rational_inverse(m):
         return
     adj, d = linalg.scaled_inverse(square)
     assert tuple(tuple(Fraction(x, d) for x in row) for row in adj) == want
+
+
+# ---------------------------------------------------------------- the kernels
+
+square_matrices = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+def _is_tuple_matrix(m):
+    return type(m) is tuple and all(type(row) is tuple for row in m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=square_matrices, data=st.data())
+def test_products_match_the_oracles_and_are_hashable_tuples(a, data):
+    """Callers key dicts by the products, so they must be tuples of tuples."""
+    n = len(a)
+    entries = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    b = data.draw(st.lists(entries, min_size=n, max_size=n))
+    v = data.draw(entries)
+    product, image = linalg.mat_mul(a, b), linalg.mat_vec(a, v)
+    assert product == oracles.matrix_product(a, b) and _is_tuple_matrix(product)
+    assert image == oracles.apply_matrix(a, v) and type(image) is tuple
+    identity = linalg.identity(n)
+    assert _is_tuple_matrix(identity)
+    assert identity == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert linalg.mat_mul(identity, a) == linalg.mat_mul(a, identity) == tuple(map(tuple, a))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(v=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10).filter(any),
+       scale=st.integers(1, 30))
+def test_primitive_ray_divides_out_the_content(v, scale):
+    x = [scale * c for c in v]
+    ray = primitive_ray(x)
+    assert type(ray) is tuple and oracles.is_primitive(ray)
+    g = math.gcd(*x)
+    assert tuple(g * c for c in ray) == tuple(x)
+    assert primitive_ray(ray) == ray
