@@ -55,7 +55,6 @@ from .lattice import Lattice, Record, Vec, as_vector, primitive_ray
 class RationalCone(Record):
     """rays + lineality generate the cone; normals cut it out."""
 
-    rank: int
     normals: tuple[Vec, ...]
     rays: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
@@ -191,7 +190,6 @@ class DoubleDescription:
         full_dim = not reduce(and_, self.masks, (1 << len(self.normals)) - 1)
         stored = self.facets() if full_dim else tuple(sorted(self.normals))
         return RationalCone(
-            self.lat.rank,
             stored,
             tuple(sorted(self.rays)),
             _canonical_lineality(self.lineality),

@@ -10,10 +10,9 @@ downstream code applies the verified matrices unchecked.
 ``word_search`` is the one breadth-first search over generator words: the
 ample orbit, the tiling translates and the orbit-merge balls all use it.
 
-Generator verification needs no wall list: ``nef_test`` decides exactly
-whether a generator keeps the ample chamber, and a problem file passes no
-``NefDescription``.  With a certified complete one, the wall-preservation
-cross-check also runs; it cannot reject what the chamber test accepts.
+A generator keeps the ample chamber exactly when it keeps H in it: the
+facets of a certified chamber decide that when one is given, else
+``nef_test`` does, as for a problem file, which passes no chamber.
 
 The supersingular side is deliberately small: a datum ``(p, K)`` is a linear
 subspace of F_p^rank spanned by reduced basis vectors, and the filter keeps
@@ -26,54 +25,44 @@ from __future__ import annotations
 from . import linalg
 from .errors import BadPrime, DegenerateBasis, DimensionMismatch, GeneratorRejected
 from .lattice import Lattice, Mat, Record, Vec, _as_int, as_vector
-from .weyl import NefDescription, nef_test
+from .weyl import NefDescription, _chamber, _nef_rays
 
 
 class GeneratorReport(Record):
-    """Outcome of the generator checks; ``walls_preserved`` is None when the
-    wall list is not certified complete and the check would be vacuous."""
+    """Outcome of the generator checks."""
 
     preserves_form: bool
     preserves_component: bool
     chamber_fixed: bool
-    walls_preserved: bool | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.preserves_form
-            and self.preserves_component
-            and self.chamber_fixed
-            and self.walls_preserved is not False
-        )
+        return self.preserves_form and self.preserves_component and self.chamber_fixed
 
 
 def verify_generator(
     lat: Lattice, ample, matrix, nef: NefDescription | None = None
 ) -> GeneratorReport:
-    """Check a candidate generator; reports, never raises.
+    """Check a candidate generator; reports a bad matrix, never raises for one.
 
     A matrix that is not a rank x rank integer matrix with g^T G g == G
-    fails every check.
+    fails every check.  The facets of a certified ``nef``, which must be H's
+    chamber, else ``nef_test``, decide whether g H lies in the chamber.
     """
     ample = as_vector(ample, lat.rank, "ample class")
+    chamber = _chamber(lat, ample, nef)
     try:
         g = tuple(as_vector(row, lat.rank, "generator row") for row in matrix)
     except DimensionMismatch:
-        return GeneratorReport(False, False, False, None)
+        return GeneratorReport(False, False, False)
     if len(g) != lat.rank or linalg.mat_mul(
         linalg.mat_mul(linalg.transpose(g), lat.gram), g
     ) != lat.gram:
-        return GeneratorReport(False, False, False, None)
+        return GeneratorReport(False, False, False)
     image = linalg.mat_vec(g, ample)
     if lat.pairing(image, ample) <= 0:
-        return GeneratorReport(True, False, False, None)
-    chamber_fixed = nef_test(lat, ample, image)
-    walls_preserved = None
-    if nef is not None and nef.complete:
-        images = {linalg.mat_vec(g, w) for w in nef.walls}
-        walls_preserved = images == set(nef.walls)
-    return GeneratorReport(True, True, chamber_fixed, walls_preserved)
+        return GeneratorReport(True, False, False)
+    return GeneratorReport(True, True, _nef_rays(lat, ample, (image,), chamber))
 
 
 class GroupGenerators(Record):
@@ -92,12 +81,11 @@ def build_group(
 ) -> GroupGenerators:
     """Verify the supplied matrices and close them under inversion.
 
-    The wall-preservation check runs when ``nef`` is a certified wall list;
-    without one it is skipped (the chamber test already implies it).
-    Inverses of verified generators are themselves chamber-preserving (the
-    chamber is carried bijectively onto itself), so they are added without
-    re-checking.  A matrix with an entry that is not an ``int`` (a bool, a
-    float) fails every check, as ``verify_generator`` reports it.
+    Each matrix goes through ``verify_generator`` with ``nef``.  Inverses of
+    verified generators are themselves chamber-preserving (the chamber is
+    carried bijectively onto itself), so they are added without re-checking.
+    A matrix with an entry that is not an ``int`` (a bool, a float) fails
+    every check, as ``verify_generator`` reports it.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     identity = linalg.identity(lat.rank)

@@ -28,7 +28,7 @@ from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Record, Vec, as_vector
 from .sterk import SterkDomain, _reducer
-from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription
+from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription, _chamber
 
 
 class OrbitEntry(Record):
@@ -194,12 +194,15 @@ def genus_orbits(
     bound; genus 1 the ``"elliptic"`` table of primitive isotropic classes;
     genus g >= 2 the ``"genus"`` table, a lattice-level upper classification
     (no irreducibility is decided here), the only kind that reports its
-    genus.  ``check_table`` raises first.  A domain that is None or
-    unsaturated is not a fundamental domain, so no table is read from it:
-    the table is empty, has no search bound and is not stable.
+    genus.  ``check_table`` raises first, then a genus 0 chamber not H's.  A
+    domain that is None or unsaturated is not a fundamental domain, so no
+    table is read from it: the table is empty, has no search bound and is
+    not stable.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     check_table(genus, bound)
+    if genus == 0:
+        _chamber(lat, ample, nef)
     if domain is None or not domain.saturated:
         found = (), None, False
     elif genus == 0:

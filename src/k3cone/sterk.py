@@ -43,7 +43,7 @@ from .enumeration import _positive_closure
 from .errors import BrokenInvariant, CoverageFailure, GeometryError
 from .groups import GroupGenerators, word_search
 from .lattice import Lattice, Record, Vec, as_vector, primitive_ray
-from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _nef_rays, _walker
+from .weyl import ORBIT_BOUND_FACTOR, Bounds, NefDescription, _chamber, _nef_rays, _walker
 
 
 class OrbitCut(Record):
@@ -92,17 +92,18 @@ def sterk_domain(
 
     One double description takes the chamber rows (the facets of a certified
     chamber, else the accepted walls) once and each doubling's orbit cuts;
-    it drops a row it already implies.  A negative ceiling raises
-    GeometryError, and so does a bound below 1, which doubling never grows.
+    it drops a row it already implies.  A negative ceiling, a bound below 1,
+    which doubling never grows, or a chamber not H's raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
+    chamber = _chamber(lat, ample, nef)
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     bound = ORBIT_BOUND_FACTOR * lat.norm(ample) if bound is None else bound
     if bound < 1:
         raise GeometryError(f"orbit bound {bound} is below 1")
     dd = DoubleDescription(lat)
-    dd.add(nef.cone.normals if nef.complete else nef.walls)
+    dd.add(nef.walls if chamber is None else chamber.normals)
     last = None
     for _ in range(ceiling + 1):
         # a larger cap can give an orbit point a shorter word, so the BFS reruns
@@ -119,7 +120,7 @@ def sterk_domain(
             cuts.append(OrbitCut(primitive_ray(diff), h, word))
         dd.add(c.normal for c in cuts)
         cone = dd.cone()
-        if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays, nef.cone):
+        if cone.pointed and cone.full_dim and _nef_rays(lat, ample, cone.rays, chamber):
             stable = all(
                 lat._pair(ample, linalg.mat_vec(g, r)) >= lat._pair(ample, r)
                 for r in cone.rays
@@ -289,21 +290,22 @@ def verify_fundamental(
     facets decide the rest, as the module docstring says.  ``samples`` and
     ``seed`` are only echoed.  A negative ``samples`` or ``word_length``
     raises GeometryError, and so does a domain that is not full-dimensional,
-    before any word, when the ball has one.  ``nef`` decides ``rays_nef``,
-    as in ``sterk_domain``, so it must be the chamber of (lat, ample).
+    before any word, when the ball has one, and so does a chamber not H's.
+    ``nef`` decides ``rays_nef``, as in ``sterk_domain``.
     """
     ample = as_vector(ample, lat.rank, "ample class")
+    chamber = _chamber(lat, ample, nef)
     if samples < 0:
         raise GeometryError(f"sample count {samples} is negative")
     if word_length < 0:
         raise GeometryError(f"word length {word_length} is negative")
-    rays_nef = _nef_rays(lat, ample, domain.cone.rays, nef.cone)
+    rays_nef = _nef_rays(lat, ample, domain.cone.rays, chamber)
 
     # m^-1(H) for each move m: a generator's inverse applied to H, or a cut's orbit point
     images = [linalg.mat_vec(group.gens[j], ample) for j in group.inverses]
     images += [c.orbit_point for c in domain.cuts]
     dd = DoubleDescription(lat)
-    dd.add(nef.cone.normals if nef.complete else nef.walls)
+    dd.add(nef.walls if chamber is None else chamber.normals)
     dd.add(primitive_ray(tuple(a - b for a, b in zip(h, ample))) for h in images if h != ample)
     normals = [lat._dual(n) for n in domain.cone.normals]
     outside = sorted(r for r in dd.rays if any(sum(map(mul, n, r)) < 0 for n in normals))

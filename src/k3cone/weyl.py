@@ -148,29 +148,35 @@ def walk_to_nef(
     the tied walls are simple roots.  Closed under their own reflections,
     they give every root through p; the lex-least of them with
     ``delta.H > 0 > delta.x`` is the root the prefix rule picks.  A certified
-    ``nef`` with a wall of the wrong rank or of degree <= 0 is not the
-    chamber of (lat, ample) and raises GeometryError.
+    ``nef`` that is not the chamber of (lat, ample) raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
     return _walker(lat, ample, nef)(x)
 
 
+def _chamber(lat: Lattice, ample: Vec, nef: NefDescription | None) -> RationalCone | None:
+    """The certified cone of ``nef``, or None; every function handed a chamber
+    checks it here.  Raises GeometryError unless each facet has the lattice's
+    rank and pairs > 0 with H: exact, since H's chamber passes and any other
+    chamber has a facet that separates it from H."""
+    if nef is None or not nef.complete:
+        return None
+    gh = lat._dual(ample)
+    if any(len(n) != lat.rank or sum(map(mul, n, gh)) <= 0 for n in nef.cone.normals):
+        raise GeometryError("the chamber given is not the ample chamber of this lattice")
+    return nef.cone
+
+
 def _walker(lat: Lattice, ample: Vec, nef: NefDescription | None):
     """``walk(x)`` for ``walk_to_nef`` on one validated ample class and chamber.
 
-    G H, H^2 and the certified walls' check are built once, here; ``walk``
-    takes a class that passed ``check_positive_closure`` and validates
-    nothing.
+    G H, H^2 and the chamber's check are done once, here; ``walk`` takes a
+    class that passed ``check_positive_closure`` and validates nothing.
     """
     gh = lat._dual(ample)
     h2 = sum(map(mul, ample, gh))
-    walls = nef.walls if nef is not None and nef.complete else None
-    # certified walls that all pair positively with H cut out H's chamber
-    if walls is not None and any(
-        len(w) != lat.rank or sum(map(mul, w, gh)) <= 0 for w in walls
-    ):
-        raise GeometryError("the chamber given is not the ample chamber of this lattice")
+    walls = None if _chamber(lat, ample, nef) is None else nef.walls
 
     def walk(x: Vec) -> tuple[Vec, tuple[Vec, ...]]:
         budget = sum(map(mul, x, gh))

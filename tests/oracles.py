@@ -414,15 +414,6 @@ def canonical_orbit_class(gram, ample, gens, x, walk_box, depth=6):
     return min(ball, key=lambda v: (pairing(gram, ample, v), v))
 
 
-def canonical_group_class(gram, ample, gens, x, depth=6):
-    """Canonical representative of the plain group orbit (no chamber walk).
-
-    Used for wall vectors, which have negative norm and cannot be walked.
-    """
-    ball = orbit_ball(gens, x, depth)
-    return min(ball, key=lambda v: (pairing(gram, ample, v), v))
-
-
 def orbit_class_count(gram, ample, gens, candidates, walk_box, depth=6):
     """Number of distinct group orbits among the candidate classes."""
     reps = {canonical_orbit_class(gram, ample, gens, c, walk_box, depth) for c in candidates}

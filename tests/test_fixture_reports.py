@@ -28,6 +28,7 @@ FIXTURES = {
     "l_p": (("1,1", "5,-6"), 10, None),
     "l_r": (("1,0", "-3,25"), 10, None),
     "rank5_supersingular": (("1,1,0,0,0", "4,3,-1,0,2"), 3, 12),
+    "r3_cocompact": (("9,5,1", "20,11,3"), 10, None),
 }
 
 ORBIT_KINDS = (
@@ -389,6 +390,86 @@ PINS = {
     "rank5_supersingular orbits genus --genus 3": (
         0,
         "a9cd11861070d7575f9608e5a276970787a3c8e7b8b9d676a61ad91602c90e87",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact validate": (
+        0,
+        "38fa22e20fdf31794b6fbfe1824a7a5b66793c824345639afc41260780f64559",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact roots": (
+        0,
+        "7a053c02efd0a83e74aa3c2d7682ddd58b02037962957b41a0ec71063f9ea5cc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact walls": (
+        2,
+        "ce5acdd5712f259662ddb2fdfd8c99af9c2e2a4917d82d0b288397305fbcc2f9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact sterk": (
+        0,
+        "91be65646350205952f06caf27f908bce528e0d37e1b89edf47c63bcf0a5d075",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact isotropic": (
+        2,
+        "df48cc0c099a74729224a91ff67a630a645be2622cb86299931d9f8355c9cc7d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact filter-k": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a7e93e52c51ec2a7eba92592c907a7af4b653402ff08cc003efacbe42925291e",
+    ),
+    "r3_cocompact walk 9,5,1": (
+        0,
+        "f8d1c13776cbdff365fa161d03fd856548ad5de257032409b2ee46a83efb754b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact walk 20,11,3": (
+        0,
+        "dcd506a24201900b5215b0ff157f0eaa60ea8e18b8a19af46c7d73204d4178fb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact nef-test 9,5,1": (
+        0,
+        "fd01f03b19dbbc781a9331beb9e71e4c7cefb96c7fecb41b4b317e6950c9a15e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact nef-test 20,11,3": (
+        0,
+        "8490cd6963832f1e09524527757d4a001465893af9cff4c70a22a9bf7cb52a86",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact reduce 9,5,1": (
+        0,
+        "584134b31b7bd3828388ede08a224bdf326aea7399eed9ccb9811831a89e2512",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact reduce 20,11,3": (
+        0,
+        "387f0b4bf989d39249457dc83c6cd686a2d41ea3e2b9955896ff8954484a8d7e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact orbits nodal": (
+        0,
+        "424b6a23370c57a9528f6e20aa89bd44464450536453eb59c47b928fcc5bc9be",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact orbits elliptic": (
+        0,
+        "d47d310326ad80d77354979199dacd526ad28664d64f36db0b9eb9ea77ed0aa9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact orbits genus --genus 2": (
+        0,
+        "027cc080c1ae3a588d1df63885915207c5e60cd53cbceecca13787d0e2685209",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "r3_cocompact orbits genus --genus 3": (
+        0,
+        "49011cf8184c9f7da762f5700350bdc96e2ec83cdc7f2f2342010644bb804319",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "u_e8 sterk": (

@@ -20,6 +20,7 @@ from k3cone import (
     reduce_to_domain,
     verify_generator,
     walk_to_nef,
+    weyl,
 )
 from k3cone import linalg
 
@@ -41,16 +42,18 @@ def latR():
 
 def test_verify_generator_accepts_gamma_P(latP):
     rep = verify_generator(latP, AMPLE_P, GAMMA_P)
-    assert (rep.preserves_form, rep.preserves_component, rep.chamber_fixed) == (True, True, True)
-    assert rep.walls_preserved is None  # no wall data supplied
+    assert rep == GeneratorReport(True, True, True)
     assert rep.ok
 
 
-def test_verify_generator_checks_walls_when_nef_given(latP):
+def test_verify_generator_checks_walls_when_nef_given(latP, monkeypatch):
+    """A certified chamber's facets decide, with no search, as ``nef_test`` does."""
     nef = nef_walls(latP, AMPLE_P)
-    rep = verify_generator(latP, AMPLE_P, GAMMA_P, nef)
-    assert rep.walls_preserved is True
-    assert rep.ok
+    assert nef.complete
+    without = [verify_generator(latP, AMPLE_P, m) for m in (GAMMA_P, ((3, 2), (4, 3)))]
+    monkeypatch.setattr(weyl, "nef_test", None)
+    assert [verify_generator(latP, AMPLE_P, m, nef) for m in (GAMMA_P, ((3, 2), (4, 3)))] == without
+    assert [r.ok for r in without] == [True, False]
 
 
 def test_verify_generator_flags_chamber_breakers(latP):
@@ -76,7 +79,7 @@ def test_verify_generator_flags_non_isometry(latP):
 
 
 # rank-2 setups: L_U; L_P in two chambers; L_R and diag(2, -6), whose
-# chambers never certify, so the wall cross-check stays vacuous there
+# chambers never certify, so ``nef_test`` decides there with or without them
 SETUPS_RANK2 = [
     (GRAM_U, AMPLE_U),
     (GRAM_P, AMPLE_P),
@@ -88,26 +91,25 @@ SETUPS_RANK2 = [
 
 
 def _verdicts_agree(lat, ample, matrices, nef):
-    """Count (accepted, rejected, cross-checked) after asserting that the
-    chamber test alone decides every matrix as it does with the wall list."""
-    tally = [0, 0, 0]
+    """Count (accepted, rejected) after asserting that each matrix gets the
+    same report with the chamber ``nef`` as by ``nef_test`` without it."""
+    tally = [0, 0]
     for m in matrices:
-        with_walls = verify_generator(lat, ample, m, nef)
-        assert with_walls.ok == verify_generator(lat, ample, m).ok, m
-        tally[0 if with_walls.ok else 1] += 1
-        tally[2] += with_walls.walls_preserved is not None
+        with_chamber = verify_generator(lat, ample, m, nef)
+        assert with_chamber == verify_generator(lat, ample, m), m
+        tally[0 if with_chamber.ok else 1] += 1
     return tally
 
 
 @pytest.mark.parametrize("gram, ample", SETUPS_RANK2)
 def test_chamber_test_alone_decides_every_isometry_in_a_box(gram, ample):
-    """An isometry that keeps the chamber permutes its walls, so the wall
-    cross-check never rejects what the chamber test accepts."""
+    """A certified chamber's facets decide each isometry as ``nef_test`` does."""
     lat = Lattice(gram)
     isometries = O.isometries_in_box(gram, 12)
-    accepted, rejected, checked = _verdicts_agree(lat, ample, isometries, nef_walls(lat, ample))
+    nef = nef_walls(lat, ample)
+    accepted, rejected = _verdicts_agree(lat, ample, isometries, nef)
     assert accepted >= 1 and rejected >= 1  # the identity; its negative
-    assert (checked > 0) == (gram in (GRAM_U, GRAM_P))
+    assert nef.complete == (gram in (GRAM_U, GRAM_P))
 
 
 def test_chamber_test_alone_decides_words_in_walls_and_swap():
@@ -126,9 +128,8 @@ def test_chamber_test_alone_decides_words_in_walls_and_swap():
     words = set(letters)
     for _ in range(2):
         words |= {O.matrix_product(w, m) for w in words for m in letters}
-    accepted, rejected, checked = _verdicts_agree(lat, ample, sorted(words), nef)
+    accepted, rejected = _verdicts_agree(lat, ample, sorted(words), nef)
     assert accepted >= 2 and rejected >= 1  # swap and swap^2
-    assert checked == len(words)
 
 
 def test_build_group_rejects_with_located_report(latP):
@@ -170,7 +171,7 @@ def test_build_group_empty(latP):
 def test_build_group_rejects_non_integer_entries(latP, bad):
     """A float or bool entry, or a matrix that is not rank x rank, fails
     every check instead of being truncated or raising."""
-    assert verify_generator(latP, AMPLE_P, bad) == GeneratorReport(False, False, False, None)
+    assert verify_generator(latP, AMPLE_P, bad) == GeneratorReport(False, False, False)
     with pytest.raises(GeneratorRejected) as exc:
         build_group(latP, AMPLE_P, [GAMMA_P, bad])
     assert exc.value.index == 1

@@ -14,11 +14,16 @@ from k3cone import (
     AmpleOnWall,
     GeometryError,
     Lattice,
+    build_group,
     cone_from_inequalities,
     enumeration,
     nef_test,
     nef_walls,
+    nodal_orbits,
     roots_up_to_degree,
+    sterk_domain,
+    verify_fundamental,
+    verify_generator,
     walk_to_nef,
     weyl,
 )
@@ -335,6 +340,28 @@ def test_walk_rejects_a_chamber_not_of_its_ample_class():
     # a multiple of the ample class has the same chamber
     twice = tuple(2 * a for a in ample)
     assert walk_to_nef(lat, twice, x, nef) == walk_to_nef(lat, twice, x)
+
+
+def test_every_chamber_consumer_rejects_a_chamber_not_of_its_ample_class():
+    """Generators, domains, their certificates and the nodal table check a
+    handed-in chamber as walks do, so none answers from a neighbour's."""
+    lat, ample, nef = _certified("UA1^2", 1)
+    wall = nef.walls[0]
+    neighbour = nef_walls(lat, tuple(a + lat.pairing(ample, wall) * b for a, b in zip(ample, wall)))
+    swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    group = build_group(lat, ample, [swap], nef)
+    domain = sterk_domain(lat, ample, group, nef)
+    assert verify_fundamental(lat, ample, group, domain, nef).ok
+    for other in (neighbour, _certified("UA1^1", 1)[2]):
+        for call in (
+            lambda: verify_generator(lat, ample, swap, other),
+            lambda: build_group(lat, ample, [swap], other),
+            lambda: sterk_domain(lat, ample, group, other),
+            lambda: verify_fundamental(lat, ample, group, domain, other),
+            lambda: nodal_orbits(lat, ample, group, other, domain),
+        ):
+            with pytest.raises(GeometryError, match="not the ample chamber"):
+                call()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
