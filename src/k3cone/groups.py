@@ -50,7 +50,7 @@ def verify_generator(
     chamber, else ``nef_test``, decide whether g H lies in the chamber.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    chamber = _chamber(lat, ample, nef)
+    chamber = _chamber(lat, lat._dual(ample), nef)
     try:
         g = tuple(as_vector(row, lat.rank, "generator row") for row in matrix)
     except DimensionMismatch:

@@ -13,20 +13,27 @@ they sit on the domain boundary, so a bounded breadth-first ball over
 generator words (length <= ``MERGE_DEPTH``) merges such coincidences; the class
 representative is the (degree, lex)-least member.
 Tables carry a stability flag — whether doubling the search bound changes
-the representative set — and are never silently claimed complete.
+the representative set — and are never silently claimed complete.  The
+domain decides the flag when no class of the table's norm in it has degree
+above the search bound (``_reach``): a reduction ends at such a class, which
+is its own reduction, so doubling the bound adds no representative.  Its
+rays decide that for elliptic tables on any pointed domain in the closed
+positive cone, and for genus tables on one whose rays all have positive
+norm; a domain with an isotropic ray (a cusp) leaves genus tables to the
+doubled search.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 
 from . import linalg
 from .enumeration import classes_up_to_degree, isotropics_up_to_degree
 from .errors import GeometryError, UnboundedQuery
 from .groups import GroupGenerators, word_search
-from .lattice import Lattice, Record, Vec, as_vector
+from .lattice import Lattice, Record, Vec, as_vector, replace
 from .sterk import SterkDomain, _reducer
 from .weyl import MERGE_DEPTH, ORBIT_BOUND_FACTOR, NefDescription, _chamber
 
@@ -99,7 +106,8 @@ def _wall_orbits(lat, ample, group, nef, domain) -> tuple:
     """
     witnesses = dict(nef.witnesses)
     mats = group.matrices()
-    reduce = _reducer(lat, ample, group, domain)
+    # the walks use the chamber whose walls the table reads; the walker checks it
+    reduce = _reducer(lat, ample, group, replace(domain, nef=nef))
     reduced: dict[Vec, list] = {}
     for wall in nef.walls:
         witness = witnesses.get(wall)
@@ -117,21 +125,55 @@ def _wall_orbits(lat, ample, group, nef, domain) -> tuple:
     return entries, nef.certification_bound, nef.complete or nef.looks_round
 
 
+def _reach(lat, ample, domain, genus) -> int | None:
+    """A degree that no class of norm 2g-2 in the domain exceeds (no primitive
+    one at genus 1), or None when the domain's rays give none.
+
+    The domain must be pointed, so its rays generate it, with every ray r in
+    the closed positive cone: r.r >= 0 and r.H > 0.  At genus 1 a primitive
+    isotropic class of the domain is one of its isotropic rays, because
+    distinct rays pair > 0, so the bound is their largest degree, or 0.  At
+    genus g >= 2 every ray needs r.r > 0: x.x is concave on the slice
+    x.H = 1, as H-perp is negative definite, so x.x >= (x.H)^2 min r.r /
+    (r.H)^2 on the domain, and a class of norm n = 2g-2 has
+    (x.H)^2 <= max n (r.H)^2 / r.r.
+    """
+    if not domain.cone.pointed:
+        return None
+    pairs = [(lat._pair(r, r), lat._pair(ample, r)) for r in domain.cone.rays]
+    if any(n < 0 or d <= 0 for n, d in pairs):
+        return None
+    if genus == 1:
+        return max((d for n, d in pairs if n == 0), default=0)
+    if any(n == 0 for n, _ in pairs):
+        return None
+    return isqrt(max((2 * (genus - 1) * d * d // n for n, d in pairs), default=0))
+
+
 def _class_orbits(lat, ample, group, domain, genus, bound) -> tuple:
     """The orbits up to the degree bound, the bound, and whether doubling it
     adds no orbit.
 
-    The norm 2g-2 classes (primitive isotropic ones at genus 1) are reduced
-    once, up to twice the bound.  The bound's table merges the sources of
-    degree <= bound, in lex order; the doubled table only supplies the
-    representative set that decides stability.
+    When the domain's ``_reach`` is within the bound, the norm 2g-2 classes
+    (primitive isotropic ones at genus 1) are reduced up to the bound only,
+    and the table is stable.  A reduction ends at a class z of the domain,
+    of degree <= the bound, which lies in the chamber the group keeps and
+    which no move lowers, or the descent would not have stopped there; so z
+    reduces to itself, the doubled search reduces to the same classes, and
+    the merges agree.  Otherwise the classes are reduced once, up to twice
+    the bound; the bound's table merges the sources of degree <= bound, in
+    lex order, and the doubled table only supplies the representative set
+    that decides stability.
     """
     if bound is None:
         bound = ORBIT_BOUND_FACTOR * lat.norm(ample)
+    reach = _reach(lat, ample, domain, genus)
+    settled = reach is not None and reach <= bound
+    top = bound if settled else 2 * bound
     if genus == 1:
-        classes = isotropics_up_to_degree(lat, ample, 2 * bound)
+        classes = isotropics_up_to_degree(lat, ample, top)
     else:
-        classes = classes_up_to_degree(lat, ample, 2 * genus - 2, 2 * bound)
+        classes = classes_up_to_degree(lat, ample, 2 * genus - 2, top)
     reduce = _reducer(lat, ample, group, domain)
     low, doubled = {}, {}
     for x in classes:
@@ -140,7 +182,7 @@ def _class_orbits(lat, ample, group, domain, genus, bound) -> tuple:
         if lat._pair(ample, x) <= bound:
             low.setdefault(z, []).append((x, reflections, word))
     entries = tuple(_merge_classes(lat, ample, group, low))
-    stable = {e.representative for e in entries} == {
+    stable = settled or {e.representative for e in entries} == {
         e.representative for e in _merge_classes(lat, ample, group, doubled)
     }
     return entries, bound, stable
@@ -194,16 +236,18 @@ def genus_orbits(
     bound; genus 1 the ``"elliptic"`` table of primitive isotropic classes;
     genus g >= 2 the ``"genus"`` table, a lattice-level upper classification
     (no irreducibility is decided here), the only kind that reports its
-    genus.  ``check_table`` raises first, then a genus 0 chamber not H's.  A
-    domain that is None or unsaturated is not a fundamental domain, so no
-    table is read from it: the table is empty, has no search bound and is
-    not stable.
+    genus.  ``check_table`` raises first, then, at genus 0, a missing
+    chamber or one not H's.  A domain that is None or unsaturated is not a
+    fundamental domain, so no table is read from it: the table is empty,
+    has no search bound and is not stable.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     check_table(genus, bound)
-    if genus == 0:
-        _chamber(lat, ample, nef)
+    if genus == 0 and nef is None:
+        raise GeometryError("the nodal table reads the walls of a chamber, and none was given")
     if domain is None or not domain.saturated:
+        if genus == 0:  # no walk checks the chamber here
+            _chamber(lat, lat._dual(ample), nef)
         found = (), None, False
     elif genus == 0:
         found = _wall_orbits(lat, ample, group, nef, domain)

@@ -22,14 +22,16 @@ class's positive closure and each endpoint's membership in the domain.
 ``reduce_to_domain`` builds one and applies it once; the orbit tables build
 one per call and apply it to every class.  ``verify_fundamental`` decides
 coverage, not by samples: a reduction stops in the cone K of the chamber
-rows and the rows m^-1(H) - H of the moves m, and one double description
-decides whether K lies in the domain D.  Each translate gD of a word ball
-is decided exactly.  A pointed D's rays and their images generate D and gD,
-so they settle most words first: for h = gH != H, a domain of Dirichlet type
-lies in {x : x.(h - H) >= 0} and gD in {y : y.(h - H) <= 0}.  D's facets
-decide the rest, the stabilizers and what only a hand-built domain leaves:
-g carries them onto gD's, and one double description of both sets decides
-whether D and gD overlap.
+rows and the rows m^-1(H) - H of the moves m.  K lies in the domain D when
+its rows include every facet of D, as they do for each domain
+``sterk_domain`` returns; otherwise one double description of K decides.
+Each translate gD of a word ball is decided exactly.  A pointed D's rays
+and their images generate D and gD, so they settle most words first: for
+h = gH != H, a domain of Dirichlet type lies in {x : x.(h - H) >= 0} and gD
+in {y : y.(h - H) <= 0}, which two dot products per ray decide without
+computing any image.  D's facets decide the rest, the stabilizers and what
+only a hand-built domain leaves: g carries them onto gD's, and one double
+description of both sets decides whether D and gD overlap.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def sterk_domain(
     which doubling never grows, or a chamber not H's raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    chamber = _chamber(lat, ample, nef)
+    chamber = _chamber(lat, lat._dual(ample), nef)
     if ceiling < 0:
         raise GeometryError(f"doubling ceiling {ceiling} is negative")
     bound = ORBIT_BOUND_FACTOR * lat.norm(ample) if bound is None else bound
@@ -247,16 +249,20 @@ def group_words(group: GroupGenerators, length: int):
     return sorted(elements.items())
 
 
-def _cut_separates(lat: Lattice, ample: Vec, g, rays) -> bool:
+def _cut_separates(ample: Vec, gh: Vec, g, rays) -> bool:
     """Whether the cut of h = gH separates a cone's rays from their g-images:
-    h != H, the rays pair >= 0 with h - H and the images pair <= 0."""
+    h != H, the rays pair >= 0 with h - H and the images pair <= 0.
+
+    ``gh`` is G H and ``rays`` holds ``(r, G r, r.H)`` for each ray r.  An
+    isometry keeps (g r).h = r.H, and (g r).H is the dot product of r with
+    g^T G H, so each ray reads two dot products and no image: (G r).h >= r.H
+    and r.(g^T G H) >= r.H.
+    """
     h = linalg.mat_vec(g, ample)
     if h == ample:
         return False
-    cut = lat._dual(tuple(a - b for a, b in zip(h, ample)))
-    return all(sum(map(mul, cut, r)) >= 0 for r in rays) and all(
-        sum(map(mul, cut, linalg.mat_vec(g, r))) <= 0 for r in rays
-    )
+    up = linalg.mat_vec(linalg.transpose(g), gh)
+    return all(sum(map(mul, gr, h)) >= d and sum(map(mul, r, up)) >= d for r, gr, d in rays)
 
 
 def verify_fundamental(
@@ -274,8 +280,9 @@ def verify_fundamental(
     ``coverage_ok`` holds exactly when the cone K where reductions stop
     (see the module docstring) lies in the domain: K's rays pair >= 0 with
     the domain's facets, and its lineality pairs 0.  A domain from
-    ``sterk_domain`` has only chamber rows and active cuts for facets, so K
-    lies in it.  ``coverage_failures`` lists the rays of K outside the domain
+    ``sterk_domain`` has only chamber rows and active cuts for facets, which
+    are rows of K, so K lies in it and no double description is built.
+    ``coverage_failures`` lists the rays of K outside the domain
     that lie in the closed positive cone and fail to reduce into it; on a
     certified chamber each is its own endpoint.  Only such a ray builds a
     reducer, so only then does a ``domain.nef`` that is not the chamber of
@@ -294,7 +301,8 @@ def verify_fundamental(
     ``nef`` decides ``rays_nef``, as in ``sterk_domain``.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    chamber = _chamber(lat, ample, nef)
+    gh = lat._dual(ample)
+    chamber = _chamber(lat, gh, nef)
     if samples < 0:
         raise GeometryError(f"sample count {samples} is negative")
     if word_length < 0:
@@ -304,12 +312,19 @@ def verify_fundamental(
     # m^-1(H) for each move m: a generator's inverse applied to H, or a cut's orbit point
     images = [linalg.mat_vec(group.gens[j], ample) for j in group.inverses]
     images += [c.orbit_point for c in domain.cuts]
-    dd = DoubleDescription(lat)
-    dd.add(nef.walls if chamber is None else chamber.normals)
-    dd.add(primitive_ray(tuple(a - b for a, b in zip(h, ample))) for h in images if h != ample)
-    normals = [lat._dual(n) for n in domain.cone.normals]
-    outside = sorted(r for r in dd.rays if any(sum(map(mul, n, r)) < 0 for n in normals))
-    coverage_ok = not (outside or any(sum(map(mul, n, l)) for l in dd.lineality for n in normals))
+    rows = list(nef.walls if chamber is None else chamber.normals)
+    rows += [primitive_ray(tuple(a - b for a, b in zip(h, ample))) for h in images if h != ample]
+    outside, coverage_ok = [], True
+    # K is cut out by its rows, so rows that include every facet of D put K
+    # in D; only a domain cut by other rows needs K's double description
+    if not set(domain.cone.normals) <= set(rows):
+        dd = DoubleDescription(lat)
+        dd.add(rows)
+        normals = [lat._dual(n) for n in domain.cone.normals]
+        outside = sorted(r for r in dd.rays if any(sum(map(mul, n, r)) < 0 for n in normals))
+        coverage_ok = not (
+            outside or any(sum(map(mul, n, l)) for l in dd.lineality for n in normals)
+        )
     positive = [r for r in outside if lat._pair(r, r) >= 0 and lat._pair(ample, r) > 0]
     failures = []
     if positive:  # only these need a reducer
@@ -326,10 +341,11 @@ def verify_fundamental(
         raise GeometryError("tiling needs a full-dimensional domain")
     overlaps = []
     stabilizers = []
+    rays = [(r, lat._dual(r), lat._pair(ample, r)) for r in cone.rays]
     for g, word in words:
         # the rays of a pointed cone generate it, so a cut between them and
         # their images settles the word first; it never settles a stabilizer
-        if cone.pointed and _cut_separates(lat, ample, g, cone.rays):
+        if cone.pointed and _cut_separates(ample, gh, g, rays):
             continue
         # an isometry carries D's facets onto gD's, and the facets of a
         # full-dimensional cone are canonical

@@ -148,22 +148,25 @@ def walk_to_nef(
     the tied walls are simple roots.  Closed under their own reflections,
     they give every root through p; the lex-least of them with
     ``delta.H > 0 > delta.x`` is the root the prefix rule picks.  A certified
-    ``nef`` that is not the chamber of (lat, ample) raises GeometryError.
+    ``nef`` that is not the chamber of (lat, ample), or an uncertified one
+    with a wall of degree <= 0, raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
     x = check_positive_closure(lat, ample, x)
     return _walker(lat, ample, nef)(x)
 
 
-def _chamber(lat: Lattice, ample: Vec, nef: NefDescription | None) -> RationalCone | None:
+def _chamber(lat: Lattice, gh: Vec, nef: NefDescription | None) -> RationalCone | None:
     """The certified cone of ``nef``, or None; every function handed a chamber
-    checks it here.  Raises GeometryError unless each facet has the lattice's
-    rank and pairs > 0 with H: exact, since H's chamber passes and any other
-    chamber has a facet that separates it from H."""
-    if nef is None or not nef.complete:
+    checks it here, given G H.  Raises GeometryError unless each facet of a
+    certified chamber, else each wall of an uncertified one, has the
+    lattice's rank and pairs > 0 with H: exact for a certified chamber, since
+    H's chamber passes and any other chamber has a facet that separates it
+    from H, and every wall ``nef_walls`` accepts pairs > 0 with H."""
+    if nef is None:
         return None
-    gh = lat._dual(ample)
-    if any(len(n) != lat.rank or sum(map(mul, n, gh)) <= 0 for n in nef.cone.normals):
+    rows = nef.walls if nef.cone is None else nef.cone.normals
+    if any(len(n) != lat.rank or sum(map(mul, n, gh)) <= 0 for n in rows):
         raise GeometryError("the chamber given is not the ample chamber of this lattice")
     return nef.cone
 
@@ -176,7 +179,7 @@ def _walker(lat: Lattice, ample: Vec, nef: NefDescription | None):
     """
     gh = lat._dual(ample)
     h2 = sum(map(mul, ample, gh))
-    walls = None if _chamber(lat, ample, nef) is None else nef.walls
+    walls = None if _chamber(lat, gh, nef) is None else nef.walls
 
     def walk(x: Vec) -> tuple[Vec, tuple[Vec, ...]]:
         budget = sum(map(mul, x, gh))

@@ -12,6 +12,7 @@ from k3cone import (
     enumeration,
     linalg,
     nef_walls,
+    parse_problem,
     sterk_domain,
     validate_problem,
 )
@@ -28,6 +29,15 @@ GAMMA_P = ((3, -2), (4, -3))
 G_R = ((0, -1), (1, 7))
 SWAP = ((0, 1), (1, 0))
 GENS = {"U": [], "P": [GAMMA_P], "R": [G_R, SWAP]}
+
+# rank-2 lattices with their generators and the ample classes read at each:
+# the desk lattices L_P and L_R, and diag(2,-6) with the Pell unit and a flip
+RANK2_POOL = {
+    "L_P": (GRAM_P, [GAMMA_P], [(2, 1), (3, 2), (3, 1), (4, 3), (5, 3), (4, 1), (5, 4), (7, 5)]),
+    "L_R": (GRAM_R, [G_R, SWAP], [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (2, 5)]),
+    "diag(2,-6)": (((2, 0), (0, -6)), [((2, 3), (1, 2)), ((1, 0), (0, -1))],
+                   [(1, 0), (2, 0), (2, 1), (3, 1)]),
+}
 
 
 def norm_degree(lat, ample, norm, degree):
@@ -81,6 +91,24 @@ def setups(lu, lp, lr):
         grp = build_group(lat, ample, GENS[name], nef)
         dom = sterk_domain(lat, ample, grp, nef)
         out[name] = (lat, ample, grp, nef, dom)
+    return out
+
+
+@pytest.fixture(scope="session")
+def domain_pool(setups):
+    """(name, H) -> (lattice, ample, group, nef description, sterk domain):
+    ``setups`` under ("U", None) and so on, every pair of ``RANK2_POOL``, and
+    the rank-3 cocompact fixture under ("r3_cocompact", None)."""
+    out = {(name, None): setup for name, setup in setups.items()}
+    for name, (gram, gens, amples) in RANK2_POOL.items():
+        lat = Lattice(gram)
+        for ample in amples:
+            nef = nef_walls(lat, ample)
+            grp = build_group(lat, ample, gens, nef)
+            out[name, ample] = (lat, ample, grp, nef, sterk_domain(lat, ample, grp, nef))
+    p = parse_problem((PROBLEMS / "r3_cocompact.json").read_text())
+    dom = sterk_domain(p.lattice, p.ample, p.group, p.nef)
+    out["r3_cocompact", None] = (p.lattice, p.ample, p.group, p.nef, dom)
     return out
 
 

@@ -60,6 +60,9 @@ def sweep():
     path = str(PROBLEMS / "u_e8.json")
     out.append(("u_e8 sterk", ["sterk", path]))
     out.append(("u_e8 orbits nodal", ["orbits", path, "--kind", "nodal"]))
+    # the rank-5 elliptic table at the default bound 4 H^2 = 96
+    path = str(PROBLEMS / "rank5_supersingular.json")
+    out.append(("rank5_supersingular orbits elliptic default", ["orbits", path, "--kind", "elliptic"]))
     return out
 
 
@@ -480,6 +483,11 @@ PINS = {
     "u_e8 orbits nodal": (
         0,
         "2e5f1751016a31c6307e43b5c0c369c9aac9260d0a96db5caebc0a036fabcf82",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "rank5_supersingular orbits elliptic default": (
+        0,
+        "d50ea8f2eb048705f3daa0e5fbb0adea3cfc76fcccbbe8430dc9d3fb8e1480d2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }

@@ -35,7 +35,8 @@ from k3cone import (
     sterk_domain,
     verify_fundamental,
 )
-from k3cone.sterk import _reducer, group_words
+from k3cone import sterk
+from k3cone.sterk import _cut_separates, _reducer, group_words
 
 from conftest import AMPLE_P, AMPLE_R, AMPLE_U, GAMMA_P, GRAM_P, GRAM_R, GRAM_U, G_R, SWAP
 
@@ -638,3 +639,42 @@ def test_group_words_enumerates_distinct_elements(setups):
             )
         assert m == g
         assert g != ((1, 0), (0, 1))
+
+
+def test_coverage_of_a_built_domain_needs_no_double_description(domain_pool, monkeypatch):
+    """Every domain ``sterk_domain`` returns has only rows of the stopping
+    cone K for facets, so K lies in it and coverage holds with no double
+    description built."""
+    built = dict(domain_pool)
+    built["UA1^2", None] = _ua2_swap()
+
+    def refuse(*args):
+        raise AssertionError("coverage built a double description")
+
+    monkeypatch.setattr(sterk, "DoubleDescription", refuse)
+    for key, (lat, ample, grp, nef, dom) in built.items():
+        cert = verify_fundamental(lat, ample, grp, dom, nef, samples=0, word_length=2)
+        assert cert.ok and cert.coverage_failures == (), key
+
+
+def test_cut_test_agrees_with_the_images_test(domain_pool):
+    """The cut of h = gH, read from G r . h and r . g^T G H, separates a
+    cone's rays from their g-images exactly when the images say so, on every
+    word up to length 4, for each domain and each certified chamber, which
+    the cut of a word often does not separate; a stabilizer of H never is."""
+    seen = set()
+    for key, (lat, ample, grp, nef, dom) in domain_pool.items():
+        gh = O.apply_matrix(lat.gram, ample)
+        for cone in (dom.rays, nef.rays):
+            rays = [(r, O.apply_matrix(lat.gram, r), O.pairing(lat.gram, ample, r)) for r in cone]
+            for g, word in group_words(grp, 4):
+                h = O.apply_matrix(g, ample)
+                cut = tuple(a - b for a, b in zip(h, ample))
+                direct = (
+                    h != ample
+                    and all(O.pairing(lat.gram, cut, r) >= 0 for r in cone)
+                    and all(O.pairing(lat.gram, cut, O.apply_matrix(g, r)) <= 0 for r in cone)
+                )
+                assert _cut_separates(ample, gh, g, rays) == direct, (key, cone, word)
+                seen.add((direct, h == ample))
+    assert seen == {(True, False), (False, False), (False, True)}

@@ -20,6 +20,7 @@ from k3cone import (
     nef_test,
     nef_walls,
     nodal_orbits,
+    replace,
     roots_up_to_degree,
     sterk_domain,
     verify_fundamental,
@@ -360,6 +361,44 @@ def test_every_chamber_consumer_rejects_a_chamber_not_of_its_ample_class():
             lambda: verify_fundamental(lat, ample, group, domain, other),
             lambda: nodal_orbits(lat, ample, group, other, domain),
         ):
+            with pytest.raises(GeometryError, match="not the ample chamber"):
+                call()
+
+
+def test_every_chamber_consumer_checks_an_uncertified_chamber_s_walls():
+    """Without a cone the walls are checked: every wall ``nef_walls`` accepts
+    pairs > 0 with H, so H's own walls pass each consumer and the walks,
+    while the neighbour chamber's, one of which pairs < 0 with H, and a wall
+    of the wrong length are refused.  (The nodal table of walls not known to
+    be all of them has the same entries but is not stable.)"""
+    lat, ample, nef = _certified("UA1^2", 1)
+    wall = nef.walls[0]
+    neighbour = nef_walls(lat, tuple(a + lat.pairing(ample, wall) * b for a, b in zip(ample, wall)))
+    own, other = (replace(n, cone=None) for n in (nef, neighbour))
+    assert any(lat.pairing(ample, w) < 0 for w in other.walls)
+    swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    group = build_group(lat, ample, [swap], nef)
+    domain = sterk_domain(lat, ample, group, nef)
+    x = (12, 9, 3, 3)
+
+    def consumers(chamber):
+        return (
+            lambda: build_group(lat, ample, [swap], chamber),
+            lambda: sterk_domain(lat, ample, group, chamber),
+            lambda: verify_fundamental(lat, ample, group, domain, chamber),
+            lambda: walk_to_nef(lat, ample, x, chamber),
+            lambda: nodal_orbits(lat, ample, group, chamber, domain).entries,
+        )
+
+    assert [call() for call in consumers(own)] == [
+        group,
+        replace(domain, nef=own),
+        verify_fundamental(lat, ample, group, domain, nef),
+        walk_to_nef(lat, ample, x, nef),
+        nodal_orbits(lat, ample, group, nef, domain).entries,
+    ]
+    for bad in (other, replace(own, walls=own.walls + ((1, 0, 0),))):
+        for call in consumers(bad):
             with pytest.raises(GeometryError, match="not the ample chamber"):
                 call()
 
