@@ -11,8 +11,9 @@ as an integer-scaled Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44,
 hands each lower coordinate its centre moved by the one term of the
 coordinate it fixed, and the last two levels run as one loop that solves the
 last coordinate in closed form.  Each (L, H) also keeps one degree-ordered
-stream per norm -- the vectors found so far and the degree scanned up to --
-which degree-bounded queries extend past that mark and slice.
+stream per norm -- the vectors found so far and, for each degree scanned,
+how many of them lie at or below it -- which degree-bounded queries extend
+past that mark and read prefixes of.
 
 The same completeness argument powers ``separating_roots``: a root delta with
 ``delta.H > 0 > delta.x`` vanishes somewhere on the segment [H, x], and at a
@@ -27,7 +28,6 @@ same inequality collapses to the closed bound ``delta.H <= x.H``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -58,8 +58,8 @@ class _Slice:
     """
 
     def __init__(self, lat: Lattice, ample: Vec):
-        self.form = lat._dual(ample)  # degree(x) = form . x
-        self.content, cols = linalg.split_linear_form(self.form)
+        form = lat._dual(ample)  # degree(x) = form . x
+        self.content, cols = linalg.split_linear_form(form)
         if self.content == 0:
             raise ZeroVector("the degree form vanishes: the ample class is zero")
         self.base = cols[0]  # degree(base) = content
@@ -142,16 +142,20 @@ class _Slice:
     def stream(self, norm: int, bound: int) -> list[Vec]:
         """The vectors of this norm with 0 < degree <= bound, in degree order.
 
-        Each norm keeps one list of the vectors found so far and the degree it
-        is scanned up to; a larger bound extends it, a smaller one slices it.
+        Each norm keeps the vectors found so far and a per-degree index:
+        ``ends[d]`` vectors have degree <= d, ``ends[0] = 0``, and the stream
+        is scanned up to degree ``len(ends) - 1``.  A larger bound extends
+        it, a smaller one reads its prefix off the index.
         """
-        entry = self.streams.setdefault(norm, [[], 0])
-        found = entry[0]
-        for d in range(entry[1] + 1, bound + 1):
+        entry = self.streams.get(norm)
+        if entry is None:
+            entry = self.streams[norm] = ([], [0])
+        found, ends = entry
+        for d in range(len(ends), bound + 1):
             found.extend(self.query(norm, d))
-            entry[1] = d
-        end = bisect_right(found, bound, key=lambda v: sum(map(mul, self.form, v)))
-        return found[:end]
+            ends.append(len(found))
+        # a negative bound would index ends from its far end
+        return found[:ends[bound]] if bound >= 0 else []
 
 
 @lru_cache(maxsize=64)
@@ -184,7 +188,7 @@ def check_positive_closure(lat: Lattice, ample, x) -> Vec:
 
 
 def _positive_closure(lat: Lattice, ample: Vec, x: Vec) -> Vec:
-    """``check_positive_closure`` without re-validation, for tuples the package built."""
+    """``check_positive_closure`` without re-validation, for vectors already validated."""
     if not any(x):
         raise ZeroVector("the zero class is not a cone point")
     gx = lat._dual(x)
@@ -217,7 +221,7 @@ def _degree_bound(h2: int, hx: int, x2: int) -> int:
 def separating_roots(lat: Lattice, ample, x) -> tuple[Vec, ...]:
     """All roots delta with delta.H > 0 > delta.x, lex-sorted.  Complete."""
     ample = as_vector(ample, lat.rank, "ample class")
-    x = check_positive_closure(lat, ample, x)
+    x = _positive_closure(lat, ample, as_vector(x, lat.rank))
     return tuple(sorted(_separating(lat, ample, x)))
 
 

@@ -101,7 +101,9 @@ def _as_int(x, what):
 
 def as_vector(v, rank: int, what: str = "vector") -> Vec:
     """Coerce to an integer tuple of the ambient rank."""
-    vec = tuple([_as_int(x, what) for x in v])
+    vec = tuple(v)
+    if not set(map(type, vec)) <= {int}:  # exact ints need no per-entry check
+        vec = tuple([_as_int(x, what) for x in vec])
     if len(vec) != rank:
         raise DimensionMismatch(f"{what} has length {len(vec)}, expected {rank}")
     return vec

@@ -45,11 +45,11 @@ hyperplane (``check_off_walls``):
   with every other wall alpha: it lies in the chamber, on delta's facet only.
 
 A certified wall's witness is the sum of its facet's rays instead, read
-from the double description's masks: the rays whose mask has the wall's
-bit.  The rays' norms and degrees come from their duals, which the double
-description carries.  A certified cone implies every root, so a chamber
-certified from a short root prefix is reported with the first bound, as if
-the prefix had reached it.
+from the double description's tight-ray set of the wall's row.  The rays'
+norms and degrees come from their duals, which the double description
+carries.  A certified cone implies every root, so a chamber certified from
+a short root prefix is reported with the first bound, as if the prefix had
+reached it.
 When certification runs out of doublings, the partial answer is the accepted
 walls, sorted, with their witnesses.  A rootless stretch from the first
 bound that stays empty across one doubling is reported as a round chamber
@@ -65,10 +65,10 @@ from operator import mul
 from .cones import DoubleDescription, RationalCone
 from .enumeration import (
     _degree_bound,
+    _positive_closure,
     _root_stream,
     _separating,
     check_off_walls,
-    check_positive_closure,
     rational_isotropic_rays,
 )
 from .errors import BrokenInvariant, GeometryError
@@ -152,7 +152,7 @@ def walk_to_nef(
     with a wall of degree <= 0, raises GeometryError.
     """
     ample = as_vector(ample, lat.rank, "ample class")
-    x = check_positive_closure(lat, ample, x)
+    x = _positive_closure(lat, ample, as_vector(x, lat.rank))
     return _walker(lat, ample, nef)(x)
 
 
@@ -175,7 +175,7 @@ def _walker(lat: Lattice, ample: Vec, nef: NefDescription | None):
     """``walk(x)`` for ``walk_to_nef`` on one validated ample class and chamber.
 
     G H, H^2 and the chamber's check are done once, here; ``walk`` takes a
-    class that passed ``check_positive_closure`` and validates nothing.
+    class that passed ``_positive_closure`` and validates nothing.
     """
     gh = lat._dual(ample)
     h2 = sum(map(mul, ample, gh))
@@ -248,7 +248,7 @@ def _root_closure(lat: Lattice, simple: tuple[Vec, ...]) -> frozenset[Vec]:
 def nef_test(lat: Lattice, ample, x) -> bool:
     """Whether x lies in the closed ample chamber; stops at the first separating root."""
     ample = as_vector(ample, lat.rank, "ample class")
-    x = check_positive_closure(lat, ample, x)
+    x = _positive_closure(lat, ample, as_vector(x, lat.rank))
     return next(_separating(lat, ample, x), None) is None
 
 
@@ -275,11 +275,15 @@ def _certified_description(lat, ample, bound, dd: DoubleDescription):
     # the positive cone; an isotropic facet is no wall, so then the search decides
     if len(walls) < len(cone.normals) and not all(nef_test(lat, ample, r) for r in dd.rays):
         return None
-    witnesses = []
+    tight, witnesses = dd._tight_sets(), []
     for wall in walls:
-        bit = 1 << dd.normals.index(wall)
-        tight = [r for r, m in zip(dd.rays, dd.masks) if m & bit]
-        witnesses.append((wall, tuple(map(sum, zip(*tight)))))
+        # the facet's rays: digit i of the reversed bit set is ray i's bit
+        digits, facet = bin(tight[dd.normals.index(wall)])[:1:-1], []
+        i = digits.find("1")
+        while i >= 0:
+            facet.append(dd.rays[i])
+            i = digits.find("1", i + 1)
+        witnesses.append((wall, tuple(map(sum, zip(*facet)))))
     return NefDescription(walls, tuple(witnesses), bound, cone)
 
 

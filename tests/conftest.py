@@ -40,6 +40,15 @@ RANK2_POOL = {
 }
 
 
+def gram_ua1(k):
+    """The Gram matrix of U + A1^k, of rank k + 2."""
+    n = k + 2
+    return tuple(
+        tuple(1 if {i, j} == {0, 1} else (-2 if i == j >= 2 else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
 def norm_degree(lat, ample, norm, degree):
     """All x with x.x == norm and x.H == degree, lex-sorted: one slice query."""
     return enumeration._slice_for(lat, tuple(ample)).query(norm, degree)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from k3cone import DimensionMismatch, Lattice, cone_from_inequalities
 from k3cone.cones import DoubleDescription
 
-from conftest import GRAM_P, GRAM_R, GRAM_U
+from conftest import GRAM_P, GRAM_R, GRAM_U, gram_ua1
 
 import oracles
 
@@ -264,20 +264,11 @@ def test_double_description_carries_duals_and_masks_on_a_random_system():
     assert cone.pointed and cone.full_dim and len(cone.rays) > 10
 
 
-def _ua1(k):
-    """The Gram matrix of U + A1^k, of rank k + 2."""
-    n = k + 2
-    return tuple(
-        tuple(1 if {i, j} == {0, 1} else -2 if i == j > 1 else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
 @st.composite
 def ua1_row_systems(draw):
     """U + A1^k at ranks 6..9: rows positive on one point, so that their cone
     is full-dimensional with many rays, then up to two free rows."""
-    lat = Lattice(_ua1(draw(st.integers(4, 7))))
+    lat = Lattice(gram_ua1(draw(st.integers(4, 7))))
     n = lat.rank
     unit = (1,) + (0,) * (n - 1)
     vectors = st.tuples(*[st.integers(-2, 2)] * n).map(lambda v: v if any(v) else unit)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
@@ -44,6 +44,7 @@ from conftest import (
     GRAM_R,
     GRAM_U,
     changed_basis,
+    gram_ua1,
     norm_degree,
     random_even_hyperbolic,
     separating_bound,
@@ -353,6 +354,30 @@ def test_stream_answers_bounds_in_any_order(monkeypatch):
         if b < 80:
             assert scanned == ([] if b < 40 else list(range(1, 41)) * 2), b
     assert cold[80][0] and cold[10][0] != cold[80][0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["L_P", 0, 1, 2, 3]),
+    norm=st.sampled_from([-2, 0, 2]),
+    bounds=st.lists(st.integers(-3, 24), min_size=1, max_size=8),
+)
+@example(case="L_P", norm=-2, bounds=[12, -1, 5, 5, 0, 20, 19, -3])
+def test_stream_prefix_equals_a_filtered_fresh_scan(case, norm, bounds):
+    """Growing, shrinking and repeated bounds read the prefix of degree <= b
+    of a scan that one fresh slice makes degree by degree; a negative bound
+    reads nothing."""
+    if case == "L_P":
+        lat, ample = Lattice(GRAM_P), AMPLE_P
+    else:
+        lat, ample = Lattice(gram_ua1(case)), (4, 3) + (1,) * case
+    sl, ref = enumeration._Slice(lat, ample), enumeration._Slice(lat, ample)
+    scan = [v for d in range(1, max(bounds) + 1) for v in ref.query(norm, d)]
+    for b in bounds:
+        want = [v for v in scan if lat.pairing(ample, v) <= b]
+        assert sl.stream(norm, b) == want, (b, bounds)
+        if b < 0:
+            assert want == []
 
 
 def test_guards_raise_typed_errors_under_python_O():

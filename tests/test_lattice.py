@@ -3,6 +3,7 @@ records the package returns."""
 
 import inspect
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from k3cone import (
 )
 
 from k3cone import linalg
+from k3cone.lattice import as_vector
 
 from conftest import GRAM_P, GRAM_R, GRAM_U, random_even_hyperbolic
 
@@ -33,6 +35,42 @@ def test_desk_lattices_validate():
         lat = Lattice(gram)
         assert lat.rank == 2
         assert lat.gram == gram
+
+
+class _Three(IntEnum):
+    A = 3
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [
+        ((1, 2), (1, 2)),
+        ([1, 2], (1, 2)),
+        ((x for x in (1, 2)), (1, 2)),
+        ((1, _Three.A), (1, _Three.A)),
+        ((1, True), (DimensionMismatch, "ample class must be an integer, got True")),
+        ((1, 2.0), (DimensionMismatch, "ample class must be an integer, got 2.0")),
+        ((1, "2"), (DimensionMismatch, "ample class must be an integer, got '2'")),
+        ((None, 1), (DimensionMismatch, "ample class must be an integer, got None")),
+        ((x for x in (1, 2.5)), (DimensionMismatch, "ample class must be an integer, got 2.5")),
+        ("12", (DimensionMismatch, "ample class must be an integer, got '1'")),
+        ((1, 2.0, 3), (DimensionMismatch, "ample class must be an integer, got 2.0")),
+        ((1, 2, 3), (DimensionMismatch, "ample class has length 3, expected 2")),
+        ((1,), (DimensionMismatch, "ample class has length 1, expected 2")),
+        (5, (TypeError, "'int' object is not iterable")),
+    ],
+)
+def test_as_vector_accepts_and_rejects_entry_by_entry(given, expected):
+    """Exact ints pass as they are; any other entry gets the per-entry check,
+    which raises on the first bad entry before the length is compared."""
+    if isinstance(expected[0], type) and issubclass(expected[0], Exception):
+        with pytest.raises(expected[0]) as info:
+            as_vector(given, 2, "ample class")
+        assert str(info.value) == expected[1]
+    else:
+        got = as_vector(given, 2, "ample class")
+        assert got == expected and type(got) is tuple
+        assert [type(x) for x in got] == [type(x) for x in expected]
 
 
 def test_gram_must_be_square():

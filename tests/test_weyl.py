@@ -38,6 +38,7 @@ from conftest import (
     GRAM_U,
     PROBLEMS,
     changed_basis,
+    gram_ua1,
     random_even_hyperbolic,
     separating_bound,
 )
@@ -196,15 +197,6 @@ def test_nef_walls_match_discrete_chamber_oracle_on_random_rank2(seed):
     assert nef.rays == extremes
 
 
-def _ua(k):
-    """Gram matrix of U + A1^k."""
-    n = 2 + k
-    return tuple(
-        tuple(1 if {i, j} == {0, 1} else (-2 if i == j >= 2 else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _assert_incremental_equals_batch(lat, ample, nef):
     batch = cone_from_inequalities(
         lat, roots_up_to_degree(lat, ample, nef.certification_bound)
@@ -221,7 +213,7 @@ def _fixture(name):
 
 @pytest.mark.parametrize(
     "gram,ample",
-    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("rank5_supersingular")],
+    [(gram_ua1(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("rank5_supersingular")],
     ids=["UA1", "UA1^2", "UA1^3", "UA1^4", "rank5"],
 )
 def test_incremental_walls_equal_batch_double_description(gram, ample):
@@ -255,7 +247,7 @@ def test_u_e8_chamber_equals_batch_double_description():
 WALL_CHAMBERS = {
     "U": (GRAM_U, AMPLE_U),
     "P": (GRAM_P, AMPLE_P),
-    **{f"UA1^{k}": (_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3)},
+    **{f"UA1^{k}": (gram_ua1(k), (4, 3) + (1,) * k) for k in (1, 2, 3)},
     "rank5": _fixture("rank5_supersingular"),
     "u_e8": _fixture("u_e8"),
 }
@@ -406,12 +398,12 @@ def test_every_chamber_consumer_checks_an_uncertified_chamber_s_walls():
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_certification_scans_a_root_prefix_below_the_bound(k):
     """A chamber certified early leaves the stream short of the first bound."""
-    lat, ample = Lattice(_ua(k)), (4, 3) + (1,) * k
+    lat, ample = Lattice(gram_ua1(k)), (4, 3) + (1,) * k
     enumeration._slice_for.cache_clear()
     nef = nef_walls(lat, ample)
     assert nef.complete
     assert nef.certification_bound == 2 * lat.norm(ample)
-    scanned = enumeration._slice_for(lat, ample).streams[-2][1]
+    scanned = len(enumeration._slice_for(lat, ample).streams[-2][1]) - 1
     assert scanned < nef.certification_bound
 
 
@@ -470,7 +462,7 @@ def test_walls_certify_without_a_ray_search(monkeypatch):
     calls = []
     original = weyl.nef_test
     monkeypatch.setattr(weyl, "nef_test", lambda *a: calls.append(a) or original(*a))
-    for gram, ample in [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")]:
+    for gram, ample in [(gram_ua1(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")]:
         assert nef_walls(Lattice(gram), ample).complete
     assert calls == []
     nef = nef_walls(Lattice(GRAM_U), AMPLE_U)
@@ -480,7 +472,7 @@ def test_walls_certify_without_a_ray_search(monkeypatch):
 def test_ample_on_a_wall_raises():
     """(0, 0, 1) is a root of U+A1 orthogonal to H = (1, 1, 0), so H lies in
     no open chamber, and no wall rule applies."""
-    lat, ample = Lattice(_ua(1)), (1, 1, 0)
+    lat, ample = Lattice(gram_ua1(1)), (1, 1, 0)
     assert lat.pairing(ample, (0, 0, 1)) == 0
     with pytest.raises(AmpleOnWall) as exc:
         nef_walls(lat, ample, 2)
@@ -526,7 +518,7 @@ def test_certified_witnesses_on_random_lattices(seed, rank):
 
 @pytest.mark.parametrize(
     "gram,ample",
-    [(_ua(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")],
+    [(gram_ua1(k), (4, 3) + (1,) * k) for k in (1, 2, 3, 4)] + [_fixture("u_e8")],
     ids=["UA1", "UA1^2", "UA1^3", "UA1^4", "u_e8"],
 )
 def test_certified_witnesses(gram, ample):
